@@ -161,6 +161,13 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of --k: a non-negative integer, else exit code 2."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _gather_inputs(args):
     if getattr(args, "input_dir", None):
         files = sorted(Path(args.input_dir).glob("*.el"))
@@ -243,12 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input-dir", help="directory of edge-list files")
         p.add_argument("--output", help="output path (default: stdout)")
 
-    p_rewire = sub.add_parser("rewire", help="add edges greedily or at random")
-    add_io(p_rewire, directory=True)
-    p_rewire.add_argument("--k", type=int, required=True)
-    p_rewire.add_argument("--method", choices=["gtr", "random"], default="gtr")
-    p_rewire.add_argument("--seed", type=int, default=0)
-    p_rewire.set_defaults(func=cmd_rewire)
+    def add_plan(p, func):
+        add_io(p, directory=True)
+        p.add_argument("--k", type=_count, required=True)
+        p.add_argument("--method", choices=["gtr", "random"], default="gtr")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+
+    add_plan(sub.add_parser("rewire", help="add edges greedily or at random"),
+             cmd_rewire)
 
     p_stats = sub.add_parser("stats", help="graph summary as JSON")
     add_io(p_stats)
@@ -263,12 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"))
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_curve = sub.add_parser("curve", help="total resistance vs edges added")
-    add_io(p_curve, directory=True)
-    p_curve.add_argument("--k", type=int, required=True)
-    p_curve.add_argument("--method", choices=["gtr", "random"], default="gtr")
-    p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.set_defaults(func=cmd_curve)
+    add_plan(sub.add_parser("curve", help="total resistance vs edges added"),
+             cmd_curve)
 
     p_verify = sub.add_parser("verify", help="run self-check oracle suites")
     p_verify.add_argument("--suite", help="run a single named suite")

@@ -164,8 +164,12 @@ def adjacency(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    """L = D - A, written straight from the edges into one n x n array."""
+    e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    lap = np.zeros((g.n, g.n))
+    lap[e[:, 0], e[:, 1]] = lap[e[:, 1], e[:, 0]] = -1.0
+    np.fill_diagonal(lap, np.bincount(e.ravel(), minlength=g.n))
+    return lap
 
 
 def nonisolated(g: Graph) -> np.ndarray:

@@ -50,10 +50,8 @@ def same_component_non_edges(g: gr.Graph) -> list[tuple[int, int]]:
     existing = g.edge_set()
     out = []
     for verts in gr.components(g):
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                if (int(u), int(v)) not in existing:
-                    out.append((int(u), int(v)))
+        out += (p for p in itertools.combinations(verts.tolist(), 2)
+                if p not in existing)
     out.sort()
     return out
 

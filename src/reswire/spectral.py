@@ -28,6 +28,7 @@ from .errors import (
 
 RCOND_LIMIT = 1e-12
 SERIES_MAX_TERMS = 10**5
+BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
 
 
 @dataclass
@@ -59,25 +60,38 @@ def pseudo_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
-    """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component."""
-    n = lap.shape[0]
-    a = lap + np.ones((n, n)) / n
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0 or w[0] / w[-1] < RCOND_LIMIT:
+    """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component,
+    returned in `lap`'s storage. IllConditionedError if M is not finite or
+    the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
+    lap += 1.0 / lap.shape[0]
+    try:
+        m = np.linalg.inv(lap)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("regularized Laplacian is singular") from None
+    rcond = _rcond_lower_bound(lap, m)
+    if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
-            f"reciprocal condition estimate {w[0] / w[-1]:.3e} below {RCOND_LIMIT:.0e}"
+            f"reciprocal condition estimate {rcond:.3e} below {RCOND_LIMIT:.0e}"
         )
-    m = np.linalg.solve(a, np.eye(n))
-    return (m + m.T) / 2.0
+    return np.multiply(np.add(m, m.T, out=lap), 0.5, out=lap)
+
+
+def _rcond_lower_bound(a: np.ndarray, m: np.ndarray) -> float:
+    """1/(||A||_inf ||M||_inf) for M = A^{-1}; NaN or 0 if M is not finite."""
+    return 1.0 / np.prod([max(float(np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max())
+                              for i in range(0, len(x), BLOCK_ROWS)) for x in (a, m)])
 
 
 def component_inverses(g: gr.Graph):
-    """Per-component (vertex array, M) pairs, ordered by component label."""
-    lap = gr.laplacian(g)
-    out = []
-    for verts in gr.components(g):
-        out.append((verts, regularized_inverse_dense(lap[np.ix_(verts, verts)])))
-    return out
+    """Per-component (vertex array, M) pairs, ordered by component label,
+    each from a Laplacian built from that component's edges alone."""
+    comps = gr.components(g)
+    sub_edges = [[] for _ in comps]
+    for u, v in g.edges:
+        sub_edges[g.component_id[u]].append((u, v))
+    return [(verts, regularized_inverse_dense(gr.laplacian(gr.build_graph(
+                len(verts), np.searchsorted(verts, es).tolist()))))
+            for verts, es in zip(comps, sub_edges)]
 
 
 def regularized_inverse(g: gr.Graph) -> np.ndarray:
@@ -235,20 +249,3 @@ def rmax(g: gr.Graph) -> float:
 
 def format_sig(x: float) -> str:
     return format(x, ".17g")
-
-
-def spectrum_csv(s: Spectrum) -> str:
-    lines = ["index,sigma,lambda,mu"]
-    k = max(len(s.sigma), len(s.lam))
-    for i in range(k):
-        sig = format_sig(float(s.sigma[i])) if i < len(s.sigma) else ""
-        lam = format_sig(float(s.lam[i])) if i < len(s.lam) else ""
-        mu = format_sig(float(s.mu[i])) if i < len(s.mu) else ""
-        lines.append(f"{i},{sig},{lam},{mu}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_csv(mat: np.ndarray) -> str:
-    return "\n".join(
-        ",".join(format_sig(float(x)) for x in row) for row in np.atleast_2d(mat)
-    ) + "\n"

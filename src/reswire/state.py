@@ -1,13 +1,13 @@
 """Mutable per-component cache of M = (L + 11^T/n)^{-1} and N = M^2.
 
-Supports O(n^2) pair-score scans and O(n^2) edge insertions via rank-1
-(for M) and rank-2 (for N) updates. With x = 1_u - 1_v, w = Mx,
-R = x^T M x, c = 1/(1 + R):
+O(n^2) in-place scans and insertions, block of rows by block of rows. The
+scan scores the upper triangle under a persistent candidate mask; N is read
+on and above its diagonal only, so roundoff asymmetry in N never matters.
+Adding {u, v} takes the column difference w = M[:, u] - M[:, v], R = w_u -
+w_v, B^2 = w^T w, c = 1/(1 + R) and one product Mw, all from the pre-update M:
 
     M' = M - c w w^T
-    N' = M'^2 = N - c (w (Mw)^T + (Mw) w^T) + c^2 (w^T w) w w^T
-
-All products use the pre-update M; w and Mw are computed once per insertion.
+    N' = M'^2 = N + U S U^T,  U = [w, Mw],  S = [[c^2 B^2, -c], [-c, 0]]
 """
 
 from __future__ import annotations
@@ -20,21 +20,69 @@ from .errors import CrossComponentError
 
 
 class _Component:
-    __slots__ = ("verts", "pos", "m", "n2", "edges_local")
+    __slots__ = ("verts", "size", "pos", "m", "n2", "cand")
 
     def __init__(self, verts: np.ndarray, m: np.ndarray):
-        self.verts = verts
+        self.verts, self.size = verts, len(verts)
         self.pos = {int(v): i for i, v in enumerate(verts)}
-        self.m = m
-        self.n2 = m @ m
-        self.edges_local: set[tuple[int, int]] = set()
-
-    @property
-    def size(self) -> int:
-        return len(self.verts)
+        self.m, self.n2 = m, m @ m
+        self.cand = ~np.tri(self.size, dtype=bool)
 
     def rtot(self) -> float:
         return self.size * float(np.trace(self.m)) - self.size
+
+    def scores(self, a, b):
+        """R, B^2 and delta for local index pairs (a, b), scalars or arrays."""
+        m, n2 = self.m, self.n2
+        r = m[a, a] + m[b, b] - 2.0 * m[a, b]
+        bsq = n2[a, a] + n2[b, b] - 2.0 * n2[a, b]
+        return r, bsq, self.size * bsq / (1.0 + r)
+
+    def top(self):
+        """(delta, a, b) of the first best candidate in row-major order, delta
+        -inf if none. Working at half scale is exact: scores match `scores`."""
+        n = self.size
+        hm, hn = 0.5 * np.diag(self.m), 0.5 * np.diag(self.n2)
+        rows = min(sp.BLOCK_ROWS, n)
+        buf = np.empty((2, rows * n))
+        best = (-np.inf, 0, 0)
+        for lo in range(0, n, rows):
+            h, width = min(rows, n - lo), n - lo
+            b, t = buf[:, :h * width].reshape(2, h, width)
+            np.add(hn[lo:lo + h, None], hn[lo:], out=b)
+            b -= self.n2[lo:lo + h, lo:]
+            b *= n
+            np.add(hm[lo:lo + h, None], hm[lo:], out=t)
+            t -= self.m[lo:lo + h, lo:]
+            t += 0.5
+            b /= t
+            t.fill(-np.inf)
+            np.copyto(t, b, where=self.cand[lo:lo + h, lo:])
+            k = int(t.argmax())
+            if t.flat[k] > best[0]:
+                best = (float(t.flat[k]), lo + k // width, lo + k % width)
+        return best
+
+    def insert(self, a: int, b: int) -> tuple[float, float]:
+        """Add the local edge (a, b) to M and N in place; returns (B^2, c)."""
+        m, n2, n = self.m, self.n2, self.size
+        w = m[:, a] - m[:, b]
+        bsq = float(w @ w)
+        cc = 1.0 / (1.0 + float(w[a] - w[b]))
+        u2 = np.stack([w, m @ w], axis=1)
+        v2 = np.array([[cc * cc * bsq, -cc], [-cc, 0.0]]) @ u2.T
+        rows = min(sp.BLOCK_ROWS, n)
+        buf = np.empty((rows, n))
+        for lo in range(0, n, rows):
+            blk, t = slice(lo, lo + rows), buf[:min(rows, n - lo)]
+            # outer product before the scale keeps M exactly symmetric
+            np.multiply(w[blk, None], w, out=t)
+            t *= cc
+            m[blk] -= t
+            np.matmul(u2[blk], v2, out=t)
+            n2[blk] += t
+        self.cand[a, b] = False
+        return bsq, cc
 
 
 class ResistanceState:
@@ -42,17 +90,13 @@ class ResistanceState:
 
     def __init__(self, g: gr.Graph, refresh_every: int = 0):
         self.original = g
-        self.comps = [
-            _Component(verts, m) for verts, m in sp.component_inverses(g)
-        ]
-        self._comp_of = list(g.component_id)
+        self.comps = [_Component(verts, m) for verts, m in sp.component_inverses(g)]
         for u, v in g.edges:
             c = self.comps[g.component_id[u]]
-            c.edges_local.add((c.pos[u], c.pos[v]))
+            c.cand[c.pos[u], c.pos[v]] = False
         self.rtot = sum(c.rtot() for c in self.comps)
         self.added_edges: list[tuple[int, int]] = []
         self.refresh_every = refresh_every
-        self._insertions = 0
 
     def current_graph(self) -> gr.Graph:
         return self.original.with_edges(self.added_edges)
@@ -60,15 +104,16 @@ class ResistanceState:
     def _locate(self, u: int, v: int):
         if u == v:
             raise ValueError(f"pair requires distinct vertices, got ({u}, {v})")
-        if self._comp_of[u] != self._comp_of[v]:
+        comp_of = self.original.component_id
+        if comp_of[u] != comp_of[v]:
             raise CrossComponentError(
                 f"vertices {u} and {v} lie in different components"
             )
-        c = self.comps[self._comp_of[u]]
-        lu, lv = c.pos[u], c.pos[v]
-        if (min(lu, lv), max(lu, lv)) in c.edges_local:
+        c = self.comps[comp_of[u]]
+        a, b = sorted((c.pos[u], c.pos[v]))
+        if not c.cand[a, b]:
             raise ValueError(f"edge ({u}, {v}) already present")
-        return c, lu, lv
+        return c, a, b
 
     def pair_scores(self, u: int, v: int) -> tuple[float, float, float]:
         """(R, B^2, delta) for a same-component non-edge.
@@ -76,67 +121,31 @@ class ResistanceState:
         delta = n_c * B^2 / (1 + R) is the exact total-resistance decrease
         from adding {u, v}.
         """
-        c, lu, lv = self._locate(u, v)
-        r = float(c.m[lu, lu] + c.m[lv, lv] - 2.0 * c.m[lu, lv])
-        bsq = float(c.n2[lu, lu] + c.n2[lv, lv] - 2.0 * c.n2[lu, lv])
-        return r, bsq, c.size * bsq / (1.0 + r)
+        c, a, b = self._locate(u, v)
+        return tuple(float(x) for x in c.scores(a, b))
 
     def apply_edge(self, u: int, v: int) -> None:
-        c, lu, lv = self._locate(u, v)
-        x = np.zeros(c.size)
-        x[lu] = 1.0
-        x[lv] = -1.0
-        w = c.m @ x
-        r = float(x @ w)
-        bsq = float(w @ w)
-        cc = 1.0 / (1.0 + r)
-        mw = c.m @ w
-        c.m -= cc * np.outer(w, w)
-        c.n2 -= cc * (np.outer(w, mw) + np.outer(mw, w))
-        c.n2 += (cc * cc * bsq) * np.outer(w, w)
-        c.edges_local.add((min(lu, lv), max(lu, lv)))
-        delta = c.size * bsq * cc
-        self.rtot -= delta
+        c, a, b = self._locate(u, v)
+        bsq, cc = c.insert(a, b)
+        self.rtot -= c.size * bsq * cc
         self.added_edges.append((min(u, v), max(u, v)))
-        self._insertions += 1
-        if self.refresh_every and self._insertions % self.refresh_every == 0:
+        if self.refresh_every and len(self.added_edges) % self.refresh_every == 0:
             self.refresh()
 
     def refresh(self) -> None:
         """Recompute M and N from scratch to shed floating-point drift."""
-        g = self.current_graph()
-        lap = gr.laplacian(g)
-        for c in self.comps:
-            sub = lap[np.ix_(c.verts, c.verts)]
-            c.m = sp.regularized_inverse_dense(sub)
-            c.n2 = c.m @ c.m
+        for c, (_, m) in zip(self.comps, sp.component_inverses(self.current_graph())):
+            c.m, c.n2 = m, m @ m
         self.rtot = sum(c.rtot() for c in self.comps)
-
-    def component_score_tables(self):
-        """Per component: (verts, R, Bsq, delta, candidate mask) dense tables."""
-        out = []
-        for c in self.comps:
-            dm = np.diag(c.m)
-            dn = np.diag(c.n2)
-            r = dm[:, None] + dm[None, :] - 2.0 * c.m
-            bsq = dn[:, None] + dn[None, :] - 2.0 * c.n2
-            delta = c.size * bsq / (1.0 + r)
-            mask = np.triu(np.ones((c.size, c.size), dtype=bool), k=1)
-            for a, b in c.edges_local:
-                mask[a, b] = False
-            out.append((c.verts, r, bsq, delta, mask))
-        return out
 
     def all_pair_scores(self):
         """One row (u, v, R, Bsq, delta) per same-component non-edge,
         sorted lexicographically by (u, v)."""
         rows = []
-        for verts, r, bsq, delta, mask in self.component_score_tables():
-            for a, b in zip(*np.nonzero(mask)):
-                u, v = int(verts[a]), int(verts[b])
-                lo, hi = min(u, v), max(u, v)
-                rows.append((lo, hi, float(r[a, b]), float(bsq[a, b]),
-                             float(delta[a, b])))
+        for c in self.comps:
+            a, b = np.nonzero(c.cand)
+            rows += zip(c.verts[a].tolist(), c.verts[b].tolist(),
+                        *(x.tolist() for x in c.scores(a, b)))
         rows.sort(key=lambda t: (t[0], t[1]))
         return rows
 
@@ -145,21 +154,10 @@ class ResistanceState:
 
         Returns None when every component is complete.
         """
-        best = None
-        for verts, r, bsq, delta, mask in self.component_score_tables():
-            if not mask.any():
-                continue
-            vals = np.where(mask, delta, -np.inf)
-            top = float(vals.max())
-            idxs = np.argwhere(vals == top)
-            # edge with smallest global (u, v) among exact ties
-            cand = min(
-                (min(int(verts[a]), int(verts[b])),
-                 max(int(verts[a]), int(verts[b])), a, b)
-                for a, b in idxs
-            )
-            u, v, a, b = cand
-            entry = (u, v, float(r[a, b]), float(bsq[a, b]), top)
-            if best is None or top > best[4] or (top == best[4] and (u, v) < best[:2]):
-                best = entry
-        return best
+        tops = [(top, int(c.verts[a]), int(c.verts[b]))
+                for c in self.comps for top, a, b in [c.top()]]
+        top, u, v = max(tops, key=lambda t: (t[0], -t[1], -t[2]),
+                        default=(-np.inf, 0, 0))
+        if top == -np.inf:
+            return None
+        return (u, v, *self.pair_scores(u, v))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -103,6 +104,12 @@ class TestRewire:
         with pytest.warns(UserWarning):
             assert main(["rewire", "--input", str(path), "--k", "5"]) == 0
 
+    def test_negative_k_exit_2(self, p5_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rewire", "--input", str(p5_file), "--k", "-1"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_triangle_all_families(self, tmp_path, capsys):
@@ -157,6 +164,12 @@ class TestCurve:
         # mean of the three tree pairwise-distance sums: (10+20+35)/3
         assert float(lines[1].split(",")[1]) == pytest.approx(65 / 3)
 
+    def test_negative_k_exit_2(self, p5_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--input", str(p5_file), "--k", "-1"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
     def test_empty_dir_exit_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -186,3 +199,20 @@ class TestVerify:
             "verify", "--suite", "trace-identity", "--n", "25",
             "--trials", "50",
         ]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_woodbury_tolerance_matches_printed_deviation(self, seed, capsys):
+        # the printed max deviation covers the M, N and R_tot checks, and
+        # --tolerance alone decides the verdict against it
+        assert main(["verify", "--suite", "woodbury", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        worst = float(re.search(r"max deviation (\S+)", out).group(1))
+        parts = re.findall(r"(?:M dev|N dev|rtot rel dev)=(\S+?)[,\]]", out)
+        assert len(parts) == 3
+        assert worst == max(float(x) for x in parts)
+        for tol in (worst / 2, worst * 2):
+            rc = main(["verify", "--suite", "woodbury", "--seed", str(seed),
+                       "--tolerance", repr(tol)])
+            line = capsys.readouterr().out
+            assert rc == (0 if worst <= tol else 1)
+            assert line.startswith("PASS" if rc == 0 else "FAIL")

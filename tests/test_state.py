@@ -1,10 +1,25 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reswire import CrossComponentError, ResistanceState, build_graph, total_resistance
-from reswire.verify import path_graph, random_connected_graph, random_non_edge
+from reswire import (
+    CrossComponentError,
+    ResistanceState,
+    build_graph,
+    laplacian,
+    same_component_non_edges,
+    total_resistance,
+)
+from reswire.spectral import _rcond_lower_bound
+from reswire.verify import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    random_non_edge,
+)
 
 from conftest import random_graphs
 
@@ -144,3 +159,103 @@ class TestAllPairScores:
         for u, v, r, bsq, delta in s.all_pair_scores():
             r2, bsq2, d2 = s.pair_scores(u, v)
             assert (r, bsq, delta) == pytest.approx((r2, bsq2, d2), abs=1e-12)
+
+
+def _reference_best(s):
+    """Max of pair_scores over every candidate; the lexicographically first
+    (u, v) among exact ties."""
+    best = None
+    for u, v in same_component_non_edges(s.current_graph()):
+        row = (u, v, *s.pair_scores(u, v))
+        if best is None or row[4] > best[4]:
+            best = row
+    return best
+
+
+def _union(rng, sizes):
+    """Disjoint random connected graphs with shuffled vertex labels."""
+    edges, off = [], 0
+    for n in sizes:
+        g = random_connected_graph(rng, n, 0.2)
+        edges += [(u + off, v + off) for u, v in g.edges]
+        off += n
+    perm = list(range(off))
+    rng.shuffle(perm)
+    return build_graph(off, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _barbell(k, bridge):
+    """Two K_k joined by a path with `bridge` inner vertices."""
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges += [(k - 1 + i, k + i) for i in range(bridge + 1)]
+    off = k + bridge
+    edges += [(off + i, off + j) for i in range(k) for j in range(i + 1, k)]
+    return build_graph(2 * k + bridge, edges)
+
+
+class TestKernel:
+    def test_scan_matches_pair_scores_maximum(self):
+        rng = random.Random(17)
+        graphs = [cycle_graph(n) for n in (4, 5, 6, 10, 16)]
+        graphs += [_union(rng, [rng.randint(1, 12) for _ in range(rng.randint(1, 3))])
+                   for _ in range(30)]
+        for g in graphs:
+            s = ResistanceState(g)
+            for _ in range(6):
+                best = s.best_candidate()
+                assert best == _reference_best(s)
+                if best is None:
+                    break
+                s.apply_edge(*best[:2])
+
+    def test_gtr_insertions_match_scratch(self):
+        g = random_connected_graph(random.Random(23), 60, 0.1)
+        s = ResistanceState(g)
+        for _ in range(50):
+            s.apply_edge(*s.best_candidate()[:2])
+        fresh = ResistanceState(s.current_graph())
+        assert np.max(np.abs(s.comps[0].m - fresh.comps[0].m)) <= 1e-12
+        assert np.max(np.abs(s.comps[0].n2 - fresh.comps[0].n2)) <= 1e-12
+
+    def test_rcond_bound_below_eigvalsh(self):
+        rng = random.Random(29)
+        paths = [path_graph(n) for n in (2, 3, 10, 50, 200)]
+        cycles = [cycle_graph(n) for n in (3, 10, 100)]
+        others = [_barbell(k, b) for k in (3, 5, 10) for b in (0, 1, 5, 20)]
+        others += [complete_graph(n) for n in (2, 5, 20)]
+        others += [random_connected_graph(rng, rng.randint(2, 60),
+                                          rng.choice([0.0, 0.1, 0.25, 0.6]))
+                   for _ in range(40)]
+        # est <= exact <= n * est is rigorous for symmetric A, from
+        # ||.||_2 <= ||.||_inf <= sqrt(n) ||.||_2; the factor 2 holds on paths
+        # and cycles, not in general (barbells reach 2.1, random trees 3.5)
+        cases = [(g, 2.0) for g in paths + cycles] + [(g, g.n) for g in others]
+        for g, factor in cases:
+            a = laplacian(g) + 1.0 / g.n
+            w = np.linalg.eigvalsh(a)
+            exact = w[0] / w[-1]
+            est = _rcond_lower_bound(a, np.linalg.inv(a))
+            assert est <= exact * (1 + 1e-12)
+            assert exact <= factor * est * (1 + 1e-12)
+
+
+class TestMemory:
+    """tracemalloc peaks as the benchmark's memory probe takes them: the
+    state's own M and N are 2 n^2 doubles, so each peak leaves at most one
+    more n^2 for temporaries."""
+
+    def test_init_and_step_peaks(self):
+        g = random_connected_graph(random.Random(31), 300, 0.02)
+        limit = 3 * 8 * g.n ** 2
+        tracemalloc.start()
+        try:
+            s = ResistanceState(g)
+            init_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            u, v, *_ = s.best_candidate()
+            s.apply_edge(u, v)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert init_peak <= limit
+        assert step_peak <= limit
