@@ -83,44 +83,39 @@ def jacobian_bound_adjacency(g: gr.Graph, u: int, v: int, p: BoundParams) -> flo
     return (2.0 * p.alpha * p.beta) ** p.r * adjacency_power_sum(g, u, v, p.r)
 
 
+def _resistance_form(g: gr.Graph, p: BoundParams, lead: float, quantity,
+                     pair=None) -> float:
+    """(2ab)^r * (d_max/2) * (lead/d_min * (r+1 + mu^{r+1}/(1-mu)) - quantity()).
+
+    mu, d_min and d_max default to graph values: those of the pair's
+    component and endpoints, else of the whole graph. The checks on mu
+    run before the degrees are read and `quantity` is called.
+    """
+    mu = _resolve_mu(g, p, component=None if pair is None else g.component_id[pair[0]])
+    d = gr.degrees(g) if pair is None else gr.degrees(g)[list(pair)]
+    d_min = p.d_min if p.d_min is not None else int(d.min())
+    d_max = p.d_max if p.d_max is not None else int(d.max())
+    q = quantity()
+    tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
+    return (2.0 * p.alpha * p.beta) ** p.r * (d_max / 2.0) * (lead / d_min * tail - q)
+
+
 def jacobian_bound_resistance(g: gr.Graph, u: int, v: int, p: BoundParams) -> float:
     """(2ab)^r * (d_max/2) * (2/d_min * (r+1 + mu^{r+1}/(1-mu)) - R_{u,v})."""
-    mu = _resolve_mu(g, p, component=g.component_id[u])
-    d = gr.degrees(g)
-    d_min = p.d_min if p.d_min is not None else int(min(d[u], d[v]))
-    d_max = p.d_max if p.d_max is not None else int(max(d[u], d[v]))
-    r_uv = sp.effective_resistance(g, u, v)
-    tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
-    return (2.0 * p.alpha * p.beta) ** p.r * (d_max / 2.0) * (
-        2.0 / d_min * tail - r_uv
-    )
+    return _resistance_form(g, p, 2.0, lambda: sp.effective_resistance(g, u, v),
+                            pair=(u, v))
 
 
 def total_jacobian_bound(g: gr.Graph, p: BoundParams) -> float:
     """(2ab)^r * (d_max/2) * (n(n-1)/d_min * (r+1 + mu^{r+1}/(1-mu)) - R_tot)."""
     if g.num_components != 1:
         raise DisconnectedGraphError("aggregate bound requires a connected graph")
-    mu = _resolve_mu(g, p)
-    d = gr.degrees(g)
-    d_min = p.d_min if p.d_min is not None else int(d.min())
-    d_max = p.d_max if p.d_max is not None else int(d.max())
-    rtot = sp.total_resistance(g)
-    tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
-    return (2.0 * p.alpha * p.beta) ** p.r * (d_max / 2.0) * (
-        g.n * (g.n - 1) / d_min * tail - rtot
-    )
+    return _resistance_form(g, p, g.n * (g.n - 1), lambda: sp.total_resistance(g))
 
 
 def spectral_gap_jacobian_bound(g: gr.Graph, p: BoundParams) -> float:
     """Looser aggregate bound with R_tot replaced by 1/(n sigma_2)."""
     if g.num_components != 1:
         raise DisconnectedGraphError("aggregate bound requires a connected graph")
-    mu = _resolve_mu(g, p)
-    d = gr.degrees(g)
-    d_min = p.d_min if p.d_min is not None else int(d.min())
-    d_max = p.d_max if p.d_max is not None else int(d.max())
-    gap = sp.spectral_gap(g)
-    tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
-    return (2.0 * p.alpha * p.beta) ** p.r * (d_max / 2.0) * (
-        g.n * (g.n - 1) / d_min * tail - 1.0 / (g.n * gap)
-    )
+    return _resistance_form(g, p, g.n * (g.n - 1),
+                            lambda: 1.0 / (g.n * sp.spectral_gap(g)))

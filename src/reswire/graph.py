@@ -163,9 +163,13 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """L = D - A, written straight from the edges into one n x n array."""
-    e = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    e = _edge_array(g)
     lap = np.zeros((g.n, g.n))
     lap[e[:, 0], e[:, 1]] = lap[e[:, 1], e[:, 0]] = -1.0
     np.fill_diagonal(lap, np.bincount(e.ravel(), minlength=g.n))
@@ -178,12 +182,16 @@ def nonisolated(g: Graph) -> np.ndarray:
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
-    """D^(-1/2) A D^(-1/2) restricted to non-isolated vertices."""
-    keep = nonisolated(g)
-    a = adjacency(g)[np.ix_(keep, keep)]
-    inv_sqrt = 1.0 / np.sqrt(degrees(g)[keep].astype(float))
-    ahat = inv_sqrt[:, None] * a * inv_sqrt[None, :]
-    return (ahat + ahat.T) / 2.0
+    """D^(-1/2) A D^(-1/2) restricted to non-isolated vertices, written
+    straight from the edges; entry (i, j) of an edge is d_i^-1/2 d_j^-1/2."""
+    e = _edge_array(g)
+    d = np.bincount(e.ravel(), minlength=g.n)
+    keep = np.flatnonzero(d)
+    inv_sqrt = 1.0 / np.sqrt(d[keep].astype(float))
+    a, b = np.searchsorted(keep, e).T
+    ahat = np.zeros((len(keep), len(keep)))
+    ahat[a, b] = ahat[b, a] = inv_sqrt[a] * inv_sqrt[b]
+    return ahat
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:

@@ -10,11 +10,17 @@ component,
 
 Eigendecomposition is used only for Spectrum, oracles, and sigma/mu
 quantities, never on the rewiring hot path.
+
+The per-component M list and mu are computed once per graph: each sits in
+an lru_cache(maxsize=1) keyed on the (immutable, hashable) Graph, so it
+holds one graph's results until a different graph is passed. The cached
+M are read-only; errors are raised again on every call, never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +100,15 @@ def component_inverses(g: gr.Graph):
             for verts, es in zip(comps, sub_edges)]
 
 
+@lru_cache(maxsize=1)
+def _inverses(g: gr.Graph):
+    """The (vertex array, read-only M) pairs of `component_inverses`."""
+    pairs = tuple(component_inverses(g))
+    for _, m in pairs:
+        m.flags.writeable = False
+    return pairs
+
+
 def regularized_inverse(g: gr.Graph) -> np.ndarray:
     """M for a connected graph."""
     if g.num_components != 1:
@@ -101,7 +116,8 @@ def regularized_inverse(g: gr.Graph) -> np.ndarray:
     return regularized_inverse_dense(gr.laplacian(g))
 
 
-def _component_pair(g: gr.Graph, u: int, v: int):
+def _component_label(g: gr.Graph, u: int, v: int) -> int:
+    """Label of the component holding both u and v."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex out of range: ({u}, {v}) for n={g.n}")
     if g.component_id[u] != g.component_id[v]:
@@ -109,26 +125,35 @@ def _component_pair(g: gr.Graph, u: int, v: int):
             f"vertices {u} and {v} lie in different components; "
             "resistance is not defined across components"
         )
-    verts = np.flatnonzero(
-        np.array(g.component_id) == g.component_id[u]
-    )
-    pos = {int(x): i for i, x in enumerate(verts)}
-    return verts, pos[u], pos[v]
+    return g.component_id[u]
+
+
+def _component_pair(g: gr.Graph, u: int, v: int):
+    """(sorted vertex array of u's component, local u, local v)."""
+    label = _component_label(g, u, v)
+    verts = np.flatnonzero(np.asarray(g.component_id) == label)
+    return (verts, *np.searchsorted(verts, (u, v)).tolist())
+
+
+def _inverse_pair(g: gr.Graph, u: int, v: int):
+    """(cached M of u's component, local u, local v)."""
+    label = _component_label(g, u, v)  # before any inverse is computed
+    verts, m = _inverses(g)[label]
+    return (m, *np.searchsorted(verts, (u, v)).tolist())
 
 
 def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
     if u == v:
-        _component_pair(g, u, v)
+        _component_label(g, u, v)
         return 0.0
-    verts, lu, lv = _component_pair(g, u, v)
-    m = regularized_inverse_dense(gr.laplacian(g)[np.ix_(verts, verts)])
+    m, lu, lv = _inverse_pair(g, u, v)
     return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
 
 
 def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
     """Resistance via the normalized-Laplacian pseudoinverse route."""
     if u == v:
-        _component_pair(g, u, v)
+        _component_label(g, u, v)
         return 0.0
     verts, lu, lv = _component_pair(g, u, v)
     sub = _subgraph(g, verts)
@@ -143,7 +168,7 @@ def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
 def effective_resistance_flow(g: gr.Graph, u: int, v: int) -> float:
     """Resistance as the minimum squared 2-norm of a unit u->v flow."""
     if u == v:
-        _component_pair(g, u, v)
+        _component_label(g, u, v)
         return 0.0
     verts, lu, lv = _component_pair(g, u, v)
     sub = _subgraph(g, verts)
@@ -165,10 +190,9 @@ def _subgraph(g: gr.Graph, verts: np.ndarray) -> gr.Graph:
 
 def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
     if u == v:
-        _component_pair(g, u, v)
+        _component_label(g, u, v)
         return 0.0
-    verts, lu, lv = _component_pair(g, u, v)
-    m = regularized_inverse_dense(gr.laplacian(g)[np.ix_(verts, verts)])
+    m, lu, lv = _inverse_pair(g, u, v)
     w = m[:, lu] - m[:, lv]
     return float(w @ w)
 
@@ -176,7 +200,7 @@ def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
 def total_resistance(g: gr.Graph) -> float:
     """Sum of pairwise resistances within each component."""
     total = 0.0
-    for verts, m in component_inverses(g):
+    for verts, m in _inverses(g):
         nc = len(verts)
         total += nc * float(np.trace(m)) - nc
     return total
@@ -227,6 +251,11 @@ def spectral_gap(g: gr.Graph) -> float:
 
 def mu_bound(g: gr.Graph) -> float:
     """max(|mu_2|, |mu_n|) for the normalized adjacency."""
+    return _mu(g)
+
+
+@lru_cache(maxsize=1)
+def _mu(g: gr.Graph) -> float:
     ahat = gr.normalized_adjacency(g)
     mu = np.sort(np.linalg.eigvalsh(ahat))[::-1]
     if len(mu) < 2:
@@ -234,17 +263,15 @@ def mu_bound(g: gr.Graph) -> float:
     return float(max(abs(mu[1]), abs(mu[-1])))
 
 
-def resistance_matrix(g: gr.Graph) -> np.ndarray:
-    """All-pairs resistance for a connected graph."""
+def rmax(g: gr.Graph) -> float:
+    """Largest pairwise resistance of a connected graph, taken block of
+    rows by block of rows (no n x n temporary)."""
     if g.num_components != 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    m = regularized_inverse_dense(gr.laplacian(g))
+    (_, m), = _inverses(g)
     d = np.diag(m)
-    return d[:, None] + d[None, :] - 2.0 * m
-
-
-def rmax(g: gr.Graph) -> float:
-    return float(np.max(resistance_matrix(g)))
+    return float(max(np.max(d[lo:lo + BLOCK_ROWS, None] + d - 2.0 * m[lo:lo + BLOCK_ROWS])
+                     for lo in range(0, len(d), BLOCK_ROWS)))
 
 
 def format_sig(x: float) -> str:

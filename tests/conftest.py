@@ -3,12 +3,20 @@ import random
 import pytest
 
 from reswire import build_graph
+from reswire import spectral as sp
 from reswire.verify import (
     complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
 )
+
+
+@pytest.fixture
+def fresh_memo():
+    """Empty the per-graph memos of M and mu in reswire.spectral."""
+    for memo in (sp._inverses, sp._mu):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -1,15 +1,18 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from reswire import from_edge_list, total_resistance
+from reswire import spectral as sp
 from reswire.cli import main
 
 P5 = "0 1\n1 2\n2 3\n3 4\n"
 TWO_K2 = "0 1\n2 3\n"
 C4 = "0 1\n1 2\n2 3\n0 3\n"
 TRIANGLE = "0 1\n1 2\n0 2\n"
+C5_CHORD = "0 1\n1 2\n2 3\n3 4\n0 4\n0 2\n"
 
 
 @pytest.fixture
@@ -136,6 +139,43 @@ class TestBounds:
         ]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pair"]["adjacency_bound"] == 0.0
+
+
+class TestDenseSolves:
+    """One CLI call inverts L + 11^T/n once and solves each eigenproblem
+    once, however many of its outputs rest on M or mu."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, fresh_memo):
+        counts = {"inverse": 0, "eigvalsh": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sp, "regularized_inverse_dense",
+                            counted("inverse", sp.regularized_inverse_dense))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        return counts
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        path = tmp_path / "c5chord.el"
+        path.write_text(C5_CHORD)
+        return str(path)
+
+    def test_stats(self, graph_file, calls, capsys):
+        assert main(["stats", "--input", graph_file]) == 0
+        assert json.loads(capsys.readouterr().out)["rmax"] > 0
+        assert calls == {"inverse": 1, "eigvalsh": 1}
+
+    def test_bounds_pair(self, graph_file, calls, capsys):
+        assert main(["bounds", "--input", graph_file, "--pair", "1", "3", "--r", "2"]) == 0
+        assert "pair" in json.loads(capsys.readouterr().out)
+        # one eigensolve for mu, one for sigma_2
+        assert calls == {"inverse": 1, "eigvalsh": 2}
 
 
 class TestCurve:

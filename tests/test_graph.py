@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from reswire import (
     EdgeListParseError,
+    adjacency,
     boundary_matrix,
     build_graph,
+    degrees,
     from_edge_list,
     is_bipartite,
     laplacian,
@@ -102,6 +104,20 @@ class TestMatrices:
         ahat = normalized_adjacency(star)
         for leaf in (1, 2, 3):
             assert ahat[0, leaf] == pytest.approx(1 / np.sqrt(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy())
+    def test_normalized_adjacency_matches_dense_formula(self, g):
+        # built from the edges, it equals the dense adjacency formula bit for
+        # bit; the isolated vertices are dropped, with no 1/0
+        g = build_graph(g.n + 2, g.edges)
+        keep = np.flatnonzero(degrees(g) > 0)
+        inv_sqrt = 1.0 / np.sqrt(degrees(g)[keep].astype(float))
+        ahat = inv_sqrt[:, None] * adjacency(g)[np.ix_(keep, keep)] * inv_sqrt[None, :]
+        expected = (ahat + ahat.T) / 2.0
+        got = normalized_adjacency(g)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_boundary_matrix_k2(self, k2):
         assert np.array_equal(boundary_matrix(k2), [[1], [-1]])

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from reswire import (
     BipartiteGraphError,
     CrossComponentError,
     DisconnectedGraphError,
+    IllConditionedError,
+    ResistanceState,
     biharmonic_distance_sq,
     build_graph,
     effective_resistance,
@@ -19,11 +23,13 @@ from reswire import (
     spectrum,
     total_resistance,
 )
+from reswire import spectral as sp
 from reswire.spectral import pseudo_inverse, regularized_inverse_dense
 from reswire.verify import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
 )
 
@@ -271,3 +277,86 @@ class TestSpectralQuantities:
             if z1[0] < 0:
                 z1 = -z1
             assert np.allclose(np.abs(z1), expected, atol=1e-8)
+
+
+def shuffled_union(rng, sizes):
+    """Disjoint union of random connected graphs, vertices relabelled at
+    random so that the components interleave."""
+    edges, n = [], 0
+    for size in sizes:
+        part = random_connected_graph(rng, size, 0.3)
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def fresh_inverses(g):
+    """(vertex array, M) per component, each from `regularized_inverse` of
+    the component as a graph of its own."""
+    labels = np.array(g.component_id)
+    out = []
+    for c in range(g.num_components):
+        verts = np.flatnonzero(labels == c)
+        local = np.searchsorted(verts, [e for e in g.edges if labels[e[0]] == c])
+        out.append((verts, regularized_inverse(build_graph(len(verts), local.tolist()))))
+    return out
+
+
+class TestDenseMemo:
+    def test_matches_fresh_inverse(self):
+        rng = random.Random(21)
+        for _ in range(12):
+            g = shuffled_union(rng, [rng.randint(2, 14) for _ in range(rng.randint(1, 3))])
+            fresh = fresh_inverses(g)
+            rtot = sum(len(verts) * float(np.trace(m)) - len(verts) for verts, m in fresh)
+            for _ in range(2):  # the second round reads the memo
+                assert total_resistance(g) == rtot
+                for verts, m in fresh:
+                    for lu, lv in [rng.sample(range(len(verts)), 2) for _ in range(4)]:
+                        u, v = int(verts[lu]), int(verts[lv])
+                        w = m[:, lu] - m[:, lv]
+                        assert effective_resistance(g, u, v) == float(
+                            m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
+                        assert biharmonic_distance_sq(g, u, v) == float(w @ w)
+                if g.num_components == 1:
+                    d = np.diag(fresh[0][1])
+                    assert rmax(g) == float(np.max(d[:, None] + d - 2.0 * fresh[0][1]))
+
+    def test_memo_is_read_only(self, fresh_memo):
+        g = path_graph(6)
+        total_resistance(g)
+        (_, m), = sp._inverses(g)
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    def test_state_owns_its_arrays(self, fresh_memo):
+        g = random_connected_graph(random.Random(3), 20, 0.2)
+        rtot = total_resistance(g)
+        (_, memo_m), = sp._inverses(g)
+        before = memo_m.copy()
+        state = ResistanceState(g)
+        (comp,) = state.comps
+        assert comp.m.flags.writeable and comp.n2.flags.writeable
+        assert not np.shares_memory(comp.m, memo_m)
+        u, v, *_ = state.best_candidate()
+        state.apply_edge(u, v)
+        assert np.array_equal(memo_m, before)
+        assert total_resistance(g) == rtot
+
+    def test_errors_are_not_memoized(self, fresh_memo, monkeypatch):
+        g = cycle_graph(5)
+        calls = []
+
+        def singular(a):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "inv", singular)
+            for _ in range(2):
+                with pytest.raises(IllConditionedError):
+                    total_resistance(g)
+        assert len(calls) == 2
+        assert total_resistance(g) == pytest.approx(10.0)
