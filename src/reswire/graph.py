@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import CrossComponentError, EdgeListParseError
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,14 @@ class Graph:
         return build_graph(self.n, list(self.edges) + list(extra))
 
 
-def _label_components(n: int, edges) -> list[int]:
+def _traverse(n: int, edges) -> tuple[list[int], list[int]]:
+    """Component label and 2-colour of each vertex, from one depth-first
+    walk; labels count up in order of each component's smallest vertex."""
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    comp = [-1] * n
+    comp, colour = [-1] * n, [0] * n
     label = 0
     for start in range(n):
         if comp[start] != -1:
@@ -53,10 +55,10 @@ def _label_components(n: int, edges) -> list[int]:
             x = stack.pop()
             for y in adj[x]:
                 if comp[y] == -1:
-                    comp[y] = label
+                    comp[y], colour[y] = label, 1 - colour[x]
                     stack.append(y)
         label += 1
-    return comp
+    return comp, colour
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -73,7 +75,7 @@ def build_graph(n: int, edges) -> Graph:
             )
         seen.add((min(u, v), max(u, v)))
     canon = tuple(sorted(seen))
-    return Graph(n=n, edges=canon, component_id=tuple(_label_components(n, canon)))
+    return Graph(n=n, edges=canon, component_id=tuple(_traverse(n, canon)[0]))
 
 
 def from_edge_list(text: str) -> Graph:
@@ -208,33 +210,48 @@ def boundary_matrix(g: Graph) -> np.ndarray:
     return b
 
 
-def components(g: Graph):
-    """Vertex arrays of each connected component, ordered by label."""
-    out = [[] for _ in range(g.num_components)]
-    for v, c in enumerate(g.component_id):
-        out[c].append(v)
-    return [np.array(vs, dtype=np.int64) for vs in out]
+def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
+    """(sorted vertex array, own Graph on local labels 0..n_c-1) of each
+    connected component, ordered by label, from one O(n + m) pass."""
+    label = np.asarray(g.component_id, dtype=np.int64)
+    sizes = np.bincount(label, minlength=g.num_components)
+    order = np.argsort(label, kind="stable")
+    local = np.empty(g.n, dtype=np.int64)
+    local[order] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    e = _edge_array(g)
+    e_label = label[e[:, 0]]
+    e_local = local[e[np.argsort(e_label, kind="stable")]].tolist()
+    v_end = np.cumsum(sizes).tolist()
+    e_end = np.cumsum(np.bincount(e_label, minlength=g.num_components)).tolist()
+    out = []
+    for v_lo, v_hi, e_lo, e_hi in zip([0] + v_end, v_end, [0] + e_end, e_end):
+        # No build_graph: relabelling a validated graph's sorted edges by a
+        # monotone map keeps them canonical, and a component is connected.
+        sub = Graph(n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
+                    component_id=(0,) * (v_hi - v_lo))
+        out.append((order[v_lo:v_hi], sub))
+    return out
+
+
+def _component_label(g: Graph, u: int, v: int) -> int:
+    """Label of the component holding both u and v; ValueError if either
+    is out of range, CrossComponentError if they lie apart."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"vertex out of range: ({u}, {v}) for n={g.n}")
+    if g.component_id[u] != g.component_id[v]:
+        raise CrossComponentError(
+            f"vertices {u} and {v} lie in different components; "
+            "resistance is not defined across components"
+        )
+    return g.component_id[u]
 
 
 def is_bipartite(g: Graph) -> list[bool]:
-    """Two-colorability of each connected component, indexed by label."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * g.n
+    """Two-colorability of each connected component, indexed by label: a
+    component is bipartite unless an edge joins two vertices of one colour."""
+    label, colour = _traverse(g.n, g.edges)
     result = [True] * g.num_components
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    result[g.component_id[start]] = False
+    for u, v in g.edges:
+        if colour[u] == colour[v]:
+            result[label[u]] = False
     return result

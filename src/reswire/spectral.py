@@ -15,6 +15,8 @@ The per-component M list and mu are computed once per graph: each sits in
 an lru_cache(maxsize=1) keyed on the (immutable, hashable) Graph, so it
 holds one graph's results until a different graph is passed. The cached
 M are read-only; errors are raised again on every call, never cached.
+Components, their own graphs and the pair checks come from `graph`; a
+vertex's local index is its position in its component's vertex array.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from . import graph as gr
 from .errors import (
     BipartiteGraphError,
-    CrossComponentError,
     DisconnectedGraphError,
     IllConditionedError,
 )
@@ -90,14 +91,9 @@ def _rcond_lower_bound(a: np.ndarray, m: np.ndarray) -> float:
 
 def component_inverses(g: gr.Graph):
     """Per-component (vertex array, M) pairs, ordered by component label,
-    each from a Laplacian built from that component's edges alone."""
-    comps = gr.components(g)
-    sub_edges = [[] for _ in comps]
-    for u, v in g.edges:
-        sub_edges[g.component_id[u]].append((u, v))
-    return [(verts, regularized_inverse_dense(gr.laplacian(gr.build_graph(
-                len(verts), np.searchsorted(verts, es).tolist()))))
-            for verts, es in zip(comps, sub_edges)]
+    each from the Laplacian of that component's own graph."""
+    return [(verts, regularized_inverse_dense(gr.laplacian(sub)))
+            for verts, sub in gr.components(g)]
 
 
 @lru_cache(maxsize=1)
@@ -116,35 +112,22 @@ def regularized_inverse(g: gr.Graph) -> np.ndarray:
     return regularized_inverse_dense(gr.laplacian(g))
 
 
-def _component_label(g: gr.Graph, u: int, v: int) -> int:
-    """Label of the component holding both u and v."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) for n={g.n}")
-    if g.component_id[u] != g.component_id[v]:
-        raise CrossComponentError(
-            f"vertices {u} and {v} lie in different components; "
-            "resistance is not defined across components"
-        )
-    return g.component_id[u]
-
-
 def _component_pair(g: gr.Graph, u: int, v: int):
-    """(sorted vertex array of u's component, local u, local v)."""
-    label = _component_label(g, u, v)
-    verts = np.flatnonzero(np.asarray(g.component_id) == label)
-    return (verts, *np.searchsorted(verts, (u, v)).tolist())
+    """(own graph of u's component, local u, local v)."""
+    verts, sub = gr.components(g)[gr._component_label(g, u, v)]
+    return (sub, *np.searchsorted(verts, (u, v)).tolist())
 
 
 def _inverse_pair(g: gr.Graph, u: int, v: int):
     """(cached M of u's component, local u, local v)."""
-    label = _component_label(g, u, v)  # before any inverse is computed
+    label = gr._component_label(g, u, v)  # before any inverse is computed
     verts, m = _inverses(g)[label]
     return (m, *np.searchsorted(verts, (u, v)).tolist())
 
 
 def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
     if u == v:
-        _component_label(g, u, v)
+        gr._component_label(g, u, v)
         return 0.0
     m, lu, lv = _inverse_pair(g, u, v)
     return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
@@ -153,13 +136,12 @@ def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
 def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
     """Resistance via the normalized-Laplacian pseudoinverse route."""
     if u == v:
-        _component_label(g, u, v)
+        gr._component_label(g, u, v)
         return 0.0
-    verts, lu, lv = _component_pair(g, u, v)
-    sub = _subgraph(g, verts)
+    sub, lu, lv = _component_pair(g, u, v)
     lhat_pinv = pseudo_inverse(gr.normalized_laplacian(sub))
     d = gr.degrees(sub).astype(float)
-    x = np.zeros(len(verts))
+    x = np.zeros(sub.n)
     x[lu] = 1.0 / np.sqrt(d[lu])
     x[lv] -= 1.0 / np.sqrt(d[lv])
     return float(x @ lhat_pinv @ x)
@@ -168,29 +150,20 @@ def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
 def effective_resistance_flow(g: gr.Graph, u: int, v: int) -> float:
     """Resistance as the minimum squared 2-norm of a unit u->v flow."""
     if u == v:
-        _component_label(g, u, v)
+        gr._component_label(g, u, v)
         return 0.0
-    verts, lu, lv = _component_pair(g, u, v)
-    sub = _subgraph(g, verts)
+    sub, lu, lv = _component_pair(g, u, v)
     b = gr.boundary_matrix(sub)
-    rhs = np.zeros(len(verts))
+    rhs = np.zeros(sub.n)
     rhs[lu] = 1.0
     rhs[lv] = -1.0
     f, *_ = np.linalg.lstsq(b, rhs, rcond=None)
     return float(f @ f)
 
 
-def _subgraph(g: gr.Graph, verts: np.ndarray) -> gr.Graph:
-    pos = {int(x): i for i, x in enumerate(verts)}
-    sub_edges = [
-        (pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos
-    ]
-    return gr.build_graph(len(verts), sub_edges)
-
-
 def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
     if u == v:
-        _component_label(g, u, v)
+        gr._component_label(g, u, v)
         return 0.0
     m, lu, lv = _inverse_pair(g, u, v)
     w = m[:, lu] - m[:, lv]
@@ -211,8 +184,7 @@ def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> floa
     tail-bound stopping rule. Requires the component to be non-bipartite."""
     if u == v:
         raise ValueError("series form requires u != v")
-    verts, lu, lv = _component_pair(g, u, v)
-    sub = _subgraph(g, verts)
+    sub, lu, lv = _component_pair(g, u, v)
     if gr.is_bipartite(sub)[0]:
         raise BipartiteGraphError(
             "power series diverges on bipartite components (mu_n = -1)"
@@ -225,9 +197,9 @@ def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> floa
     du, dv = d[lu], d[lv]
     d_min = min(du, dv)
     # term_i = (A^i)_uu/du + (A^i)_vv/dv - 2 (A^i)_uv / sqrt(du dv)
-    xu = np.zeros(len(verts))
+    xu = np.zeros(sub.n)
     xu[lu] = 1.0
-    xv = np.zeros(len(verts))
+    xv = np.zeros(sub.n)
     xv[lv] = 1.0
     total = 0.0
     for i in range(SERIES_MAX_TERMS):

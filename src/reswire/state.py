@@ -8,6 +8,10 @@ w_v, B^2 = w^T w, c = 1/(1 + R) and one product Mw, all from the pre-update M:
 
     M' = M - c w w^T
     N' = M'^2 = N + U S U^T,  U = [w, Mw],  S = [[c^2 B^2, -c], [-c, 0]]
+
+Each component works on local indices: its vertex array and its own graph
+come from `graph.components`, and a vertex's local index is its position
+in that array.
 """
 
 from __future__ import annotations
@@ -16,17 +20,17 @@ import numpy as np
 
 from . import graph as gr
 from . import spectral as sp
-from .errors import CrossComponentError
 
 
 class _Component:
-    __slots__ = ("verts", "size", "pos", "m", "n2", "cand")
+    __slots__ = ("verts", "size", "m", "n2", "cand")
 
-    def __init__(self, verts: np.ndarray, m: np.ndarray):
-        self.verts, self.size = verts, len(verts)
-        self.pos = {int(v): i for i, v in enumerate(verts)}
+    def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray):
+        self.verts, self.size = verts, sub.n
         self.m, self.n2 = m, m @ m
         self.cand = ~np.tri(self.size, dtype=bool)
+        a, b = np.array(sub.edges, dtype=np.int64).reshape(-1, 2).T
+        self.cand[a, b] = False
 
     def rtot(self) -> float:
         return self.size * float(np.trace(self.m)) - self.size
@@ -88,15 +92,12 @@ class _Component:
 class ResistanceState:
     """Single-writer cache; pair_scores/all_pair_scores are read-only."""
 
-    def __init__(self, g: gr.Graph, refresh_every: int = 0):
+    def __init__(self, g: gr.Graph):
         self.original = g
-        self.comps = [_Component(verts, m) for verts, m in sp.component_inverses(g)]
-        for u, v in g.edges:
-            c = self.comps[g.component_id[u]]
-            c.cand[c.pos[u], c.pos[v]] = False
+        self.comps = [_Component(verts, sub, m) for (verts, sub), (_, m)
+                      in zip(gr.components(g), sp.component_inverses(g))]
         self.rtot = sum(c.rtot() for c in self.comps)
         self.added_edges: list[tuple[int, int]] = []
-        self.refresh_every = refresh_every
 
     def current_graph(self) -> gr.Graph:
         return self.original.with_edges(self.added_edges)
@@ -104,13 +105,8 @@ class ResistanceState:
     def _locate(self, u: int, v: int):
         if u == v:
             raise ValueError(f"pair requires distinct vertices, got ({u}, {v})")
-        comp_of = self.original.component_id
-        if comp_of[u] != comp_of[v]:
-            raise CrossComponentError(
-                f"vertices {u} and {v} lie in different components"
-            )
-        c = self.comps[comp_of[u]]
-        a, b = sorted((c.pos[u], c.pos[v]))
+        c = self.comps[gr._component_label(self.original, u, v)]
+        a, b = sorted(c.verts.searchsorted((u, v)).tolist())
         if not c.cand[a, b]:
             raise ValueError(f"edge ({u}, {v}) already present")
         return c, a, b
@@ -129,14 +125,6 @@ class ResistanceState:
         bsq, cc = c.insert(a, b)
         self.rtot -= c.size * bsq * cc
         self.added_edges.append((min(u, v), max(u, v)))
-        if self.refresh_every and len(self.added_edges) % self.refresh_every == 0:
-            self.refresh()
-
-    def refresh(self) -> None:
-        """Recompute M and N from scratch to shed floating-point drift."""
-        for c, (_, m) in zip(self.comps, sp.component_inverses(self.current_graph())):
-            c.m, c.n2 = m, m @ m
-        self.rtot = sum(c.rtot() for c in self.comps)
 
     def all_pair_scores(self):
         """One row (u, v, R, Bsq, delta) per same-component non-edge,

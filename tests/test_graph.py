@@ -167,17 +167,33 @@ def test_bipartite_iff_minus_one_eigenvalue(g):
     from reswire.graph import components, nonisolated
 
     bip = is_bipartite(g)
-    for verts in components(g):
+    for verts, sub in components(g):
         if len(verts) < 2:
             continue
-        from reswire.spectral import _subgraph
-
-        sub = _subgraph(g, verts)
         if len(nonisolated(sub)) < 2:
             continue
         mu_min = float(np.linalg.eigvalsh(normalized_adjacency(sub)).min())
         comp_bip = bip[g.component_id[int(verts[0])]]
         assert comp_bip == (abs(mu_min + 1.0) < 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graph_strategy(16))
+def test_components_are_relabelled_component_graphs(g):
+    # two trailing isolated vertices; random edges interleave the labels.
+    # Each vertex array is its label's vertices, so the arrays partition
+    # range(n) in label order.
+    from reswire.graph import components
+
+    g = build_graph(g.n + 2, g.edges)
+    labels = np.array(g.component_id)
+    pairs = components(g)
+    assert len(pairs) == g.num_components
+    for c, (verts, sub) in enumerate(pairs):
+        assert np.array_equal(verts, np.flatnonzero(labels == c))
+        local = np.searchsorted(verts, [e for e in g.edges if labels[e[0]] == c])
+        ref = build_graph(len(verts), local.reshape(-1, 2).tolist())
+        assert (sub.n, sub.edges, sub.component_id) == (ref.n, ref.edges, ref.component_id)
 
 
 @settings(max_examples=30, deadline=None)

@@ -70,6 +70,16 @@ class TestPairScores:
         with pytest.raises(ValueError, match="already present"):
             ResistanceState(p5).pair_scores(0, 1)
 
+    @pytest.mark.parametrize("method", ["pair_scores", "apply_edge"])
+    @pytest.mark.parametrize("pair", [(-1, 3), (0, 7), (7, 0)])
+    def test_out_of_range_rejected(self, p5, method, pair):
+        s = ResistanceState(p5)
+        rtot = s.rtot
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(s, method)(*pair)
+        assert s.rtot == rtot
+        assert s.added_edges == []
+
     def test_cross_component_rejected(self, two_k2):
         with pytest.raises(CrossComponentError):
             ResistanceState(two_k2).pair_scores(0, 2)
@@ -117,18 +127,6 @@ class TestApplyEdge:
                 s.apply_edge(*pair)
                 assert s.rtot < before
 
-    def test_refresh_escape_hatch(self):
-        rng = random.Random(13)
-        g = random_connected_graph(rng, 15)
-        s = ResistanceState(g, refresh_every=2)
-        for _ in range(6):
-            pair = random_non_edge(rng, s.current_graph())
-            if pair is None:
-                break
-            s.apply_edge(*pair)
-        fresh = ResistanceState(s.current_graph())
-        assert abs(s.rtot - fresh.rtot) / fresh.rtot <= 1e-9
-
 
 class TestAllPairScores:
     def test_k2_empty(self, k2):
@@ -145,7 +143,7 @@ class TestAllPairScores:
         for g in random_graphs(41, 5, 4, 20):
             rows = ResistanceState(g).all_pair_scores()
             expected = 0
-            for verts in components(g):
+            for verts, _ in components(g):
                 nc = len(verts)
                 mc = sum(
                     1 for u, v in g.edges
