@@ -63,18 +63,19 @@ def _resolve_mu(g: gr.Graph, p: BoundParams, component: int | None = None) -> fl
 
 
 def adjacency_power_sum(g: gr.Graph, u: int, v: int, r: int) -> float:
-    """sum_{l=0}^{r} (Ahat^l)_{uv} via iterated mat-vec, no eigensolve."""
-    keep = gr.nonisolated(g)
-    pos = {int(x): i for i, x in enumerate(keep)}
-    if u not in pos or v not in pos:
-        return 1.0 if (u == v and r >= 0) else 0.0
-    ahat = gr.normalized_adjacency(g)
+    """sum_{l=0}^{r} (Ahat^l)_{uv} via iterated products with the edge
+    list, no eigensolve. ValueError if u or v is out of range."""
+    gr._check_range(g, u, v)
+    keep, ahat = gr.normalized_adjacency_edges(g)
+    if u not in keep or v not in keep:  # an isolated endpoint: only l = 0 counts
+        return float(u == v)
+    lu, lv = np.searchsorted(keep, (u, v))
     x = np.zeros(len(keep))
-    x[pos[v]] = 1.0
-    total = x[pos[u]]
+    x[lv] = 1.0
+    total = x[lu]
     for _ in range(r):
         x = ahat @ x
-        total += x[pos[u]]
+        total += x[lu]
     return float(total)
 
 
@@ -91,6 +92,8 @@ def _resistance_form(g: gr.Graph, p: BoundParams, lead: float, quantity,
     component and endpoints, else of the whole graph. The checks on mu
     run before the degrees are read and `quantity` is called.
     """
+    if pair is not None:
+        gr._check_range(g, *pair)
     mu = _resolve_mu(g, p, component=None if pair is None else g.component_id[pair[0]])
     d = gr.degrees(g) if pair is None else gr.degrees(g)[list(pair)]
     d_min = p.d_min if p.d_min is not None else int(d.min())

@@ -132,6 +132,10 @@ def cmd_bounds(args) -> int:
     except (OSError, EdgeListParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.pair and not all(0 <= x < g.n for x in args.pair):
+        print(f"error: --pair {args.pair[0]} {args.pair[1]} out of range for n={g.n}",
+              file=sys.stderr)
+        return 2
     p = bd.BoundParams(alpha=args.alpha, beta=args.beta, r=args.r, mu=args.mu)
     payload = {
         "input": str(args.input),

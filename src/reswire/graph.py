@@ -183,16 +183,39 @@ def nonisolated(g: Graph) -> np.ndarray:
     return np.flatnonzero(degrees(g) > 0)
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    """D^(-1/2) A D^(-1/2) restricted to non-isolated vertices, written
-    straight from the edges; entry (i, j) of an edge is d_i^-1/2 d_j^-1/2."""
+@dataclass(frozen=True, eq=False)
+class EdgeMatrix:
+    """Symmetric n x n matrix with a zero diagonal, held as its upper
+    triangle: `weights[k]` at (rows[k], cols[k]) and (cols[k], rows[k])."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Matrix-vector product in O(n + m), read from the edge list."""
+        return (np.bincount(self.rows, self.weights * x[self.cols], minlength=self.n)
+                + np.bincount(self.cols, self.weights * x[self.rows], minlength=self.n))
+
+
+def normalized_adjacency_edges(g: Graph) -> tuple[np.ndarray, EdgeMatrix]:
+    """(keep, Ahat): the non-isolated vertices in increasing order, and
+    D^(-1/2) A D^(-1/2) on them as an EdgeMatrix whose indices are
+    positions in `keep`; the entry of an edge is d_i^-1/2 d_j^-1/2."""
     e = _edge_array(g)
     d = np.bincount(e.ravel(), minlength=g.n)
     keep = np.flatnonzero(d)
     inv_sqrt = 1.0 / np.sqrt(d[keep].astype(float))
     a, b = np.searchsorted(keep, e).T
-    ahat = np.zeros((len(keep), len(keep)))
-    ahat[a, b] = ahat[b, a] = inv_sqrt[a] * inv_sqrt[b]
+    return keep, EdgeMatrix(len(keep), a, b, inv_sqrt[a] * inv_sqrt[b])
+
+
+def normalized_adjacency(g: Graph) -> np.ndarray:
+    """Dense D^(-1/2) A D^(-1/2) restricted to non-isolated vertices."""
+    _, e = normalized_adjacency_edges(g)
+    ahat = np.zeros((e.n, e.n))
+    ahat[e.rows, e.cols] = ahat[e.cols, e.rows] = e.weights
     return ahat
 
 
@@ -233,11 +256,16 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     return out
 
 
+def _check_range(g: Graph, u: int, v: int) -> None:
+    """ValueError unless both vertices lie in 0..n-1."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"vertex out of range: ({u}, {v}) for n={g.n}")
+
+
 def _component_label(g: Graph, u: int, v: int) -> int:
     """Label of the component holding both u and v; ValueError if either
     is out of range, CrossComponentError if they lie apart."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) for n={g.n}")
+    _check_range(g, u, v)
     if g.component_id[u] != g.component_id[v]:
         raise CrossComponentError(
             f"vertices {u} and {v} lie in different components; "

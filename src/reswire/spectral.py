@@ -8,8 +8,12 @@ component,
     B^2_{u,v} = ||M (1_u - 1_v)||^2
     R_tot     = n * tr(M) - n
 
-Eigendecomposition is used only for Spectrum, oracles, and sigma/mu
-quantities, never on the rewiring hot path.
+A dense eigendecomposition is used only by Spectrum and the oracles.
+sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
+Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
+normalized adjacency as an edge list, certified by two Cholesky
+factorizations with a floating-point margin (Rump, BIT 46, 2006). mu is
+then never below its true value.
 
 The per-component M list and mu are computed once per graph: each sits in
 an lru_cache(maxsize=1) keyed on the (immutable, hashable) Graph, so it
@@ -21,6 +25,7 @@ vertex's local index is its position in its component's vertex array.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +41,12 @@ from .errors import (
 RCOND_LIMIT = 1e-12
 SERIES_MAX_TERMS = 10**5
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
+CHOLESKY_ROWS = 128  # 70 ms against 85 ms at 64 rows, n=1600
+LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
+LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
+LANCZOS_MAX_STEPS = 256  # sigma_2 and mu take 40 and 150 at n=1600, degree 6; mu 176 at n=3200
+MU_STEP_GROWTH = 10.0  # factor on t - theta after a failed certificate
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -91,8 +102,10 @@ def _rcond_lower_bound(a: np.ndarray, m: np.ndarray) -> float:
 
 def component_inverses(g: gr.Graph):
     """Per-component (vertex array, M) pairs, ordered by component label,
-    each from the Laplacian of that component's own graph."""
-    return [(verts, regularized_inverse_dense(gr.laplacian(sub)))
+    each from the Laplacian of that component's own graph. A one-vertex
+    component has L + 11^T/n = [[1]], so its M = [[1.0]] is not inverted."""
+    return [(verts, np.ones((1, 1)) if sub.n == 1
+             else regularized_inverse_dense(gr.laplacian(sub)))
             for verts, sub in gr.components(g)]
 
 
@@ -189,7 +202,7 @@ def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> floa
         raise BipartiteGraphError(
             "power series diverges on bipartite components (mu_n = -1)"
         )
-    ahat = gr.normalized_adjacency(sub)
+    _, ahat = gr.normalized_adjacency_edges(sub)  # a component has no isolated vertex
     mu = mu_bound(sub)
     if mu >= 1.0:
         raise BipartiteGraphError(f"spectral bound mu={mu} >= 1; series diverges")
@@ -215,24 +228,146 @@ def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> floa
 
 
 def spectral_gap(g: gr.Graph) -> float:
+    """sigma_2 of L for a connected graph, as 1/lambda_max(M - J/n) from the
+    cached M: on 1-perp M has the eigenvalues 1/sigma_i, and J/n removes its
+    eigenvalue 1 on 1. The Ritz value never exceeds lambda_max, so up to
+    roundoff in M sigma_2 is never under-read."""
     if g.num_components != 1:
         raise DisconnectedGraphError("spectral gap requires a connected graph")
-    sigma = np.linalg.eigvalsh(gr.laplacian(g))
-    return float(sigma[1])
+    (_, m), = _inverses(g)
+    ritz = _lanczos(lambda x: m @ x - x.mean(), g.n, both=False)
+    if ritz is None:
+        return float(np.linalg.eigvalsh(gr.laplacian(g))[1])
+    return 1.0 / ritz[1]
 
 
 def mu_bound(g: gr.Graph) -> float:
-    """max(|mu_2|, |mu_n|) for the normalized adjacency."""
+    """max(|mu_2|, |mu_n|) for the normalized adjacency, certified from
+    above and at most 1."""
     return _mu(g)
 
 
 @lru_cache(maxsize=1)
 def _mu(g: gr.Graph) -> float:
-    ahat = gr.normalized_adjacency(g)
-    mu = np.sort(np.linalg.eigvalsh(ahat))[::-1]
-    if len(mu) < 2:
+    """Lanczos estimate of mu = max|lambda(B)|, B = Ahat - v v^T with
+    v = D^(1/2) 1 / ||D^(1/2) 1|| (Ahat v = v, so B has Ahat's spectrum with
+    one eigenvalue 1 replaced by 0; a dense eigvalsh when Lanczos gives
+    up), raised until a Cholesky of t I - B and of t I + B succeeds. Each success proves |lambda(B)| <= t + margin
+    (`_cholesky_margin`), so the value returned is never below mu."""
+    keep, ahat = gr.normalized_adjacency_edges(g)
+    n = len(keep)
+    if n == 0:
         return 0.0
-    return float(max(abs(mu[1]), abs(mu[-1])))
+    d = np.bincount(np.concatenate([ahat.rows, ahat.cols]), minlength=n)
+    v = np.sqrt(d / d.sum())
+    ritz = _lanczos(lambda x: ahat @ x - v * (v @ x), n, both=True)
+    if ritz is None:
+        mu_all = np.linalg.eigvalsh(gr.normalized_adjacency(g))
+        theta, res = max(abs(mu_all[0]), abs(mu_all[-2])), 0.0
+    else:
+        lo, hi, res = ritz
+        theta = max(-lo, hi)
+    weights = _rump_weights(n)
+    step = res + weights.sum() * theta + weights[-1]  # ~ the margin at t = theta
+    f = np.empty((n, n))
+    while theta + step < 1.0:
+        t = theta + step
+        bound = 0.0
+        for sign in (1.0, -1.0):
+            # f = t I - sign B, upper triangle; each entry has <= 6 roundings
+            for i in range(0, n, BLOCK_ROWS):
+                np.multiply.outer(sign * v[i:i + BLOCK_ROWS], v, out=f[i:i + BLOCK_ROWS])
+            f[ahat.rows, ahat.cols] -= sign * ahat.weights
+            f.flat[::n + 1] += t
+            margin = _cholesky_margin(f)
+            if margin is None:
+                break
+            # ||f - (t I - sign B)||_2 <= gamma_6 ||t I + |Ahat| + v v^T||_2 <= 8u (t + 2)
+            bound = max(bound, t + margin + 8 * UNIT_ROUNDOFF * (t + 2.0))
+        else:
+            return min(1.0, float(bound) * (1.0 + 8 * UNIT_ROUNDOFF))
+        step *= MU_STEP_GROWTH
+    return 1.0
+
+
+def _lanczos(matvec, n: int, both: bool) -> tuple[float, float, float] | None:
+    """(lowest, highest) Ritz value of the symmetric operator `matvec` on
+    R^n, and the largest Ritz residual of the end asked for: the top, or
+    both ends when `both`. Each Ritz value lies in [lambda_min, lambda_max]
+    and within its residual of an eigenvalue.
+
+    Full reorthogonalisation and a fixed start vector keep the result
+    deterministic. It stops when the residual is at most LANCZOS_TOL of the
+    largest |Ritz value| (checked after LANCZOS_CHECK steps, then every
+    max(LANCZOS_CHECK, k/4) steps), or when the Krylov space is full (then
+    exact up to roundoff). None after LANCZOS_MAX_STEPS steps without
+    either: on long paths and cycles the extremes need O(n) steps, and the
+    callers' dense eigensolve is then cheaper.
+    """
+    steps = min(n, LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, n))  # pages become resident only when written
+    rng = random.Random(0)  # numpy.random costs ~8 MB of resident memory to import
+    x = np.array([rng.random() - 0.5 for _ in range(n)])
+    basis[0] = x / np.linalg.norm(x)
+    alpha, beta = [], []
+    check = LANCZOS_CHECK
+    for k in range(1, steps + 1):
+        q = basis[:k]
+        w = matvec(q[-1])
+        alpha.append(float(q[-1] @ w))
+        for _ in range(2):
+            w -= q.T @ (q @ w)
+        b = float(np.linalg.norm(w))
+        # b below LANCZOS_TOL * max|T_ij| <= LANCZOS_TOL * ||T|| is a breakdown: stop
+        if k in (check, steps) or b <= LANCZOS_TOL * max(map(abs, alpha + beta)):
+            check = k + max(LANCZOS_CHECK, k // 4)
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            res = b * np.abs(s[-1, [0, -1] if both else [-1]])
+            if k == n or res.max() <= LANCZOS_TOL * np.abs(theta).max():
+                return float(theta[0]), float(theta[-1]), float(res.max())
+        if k < steps:
+            basis[k] = w / b
+        beta.append(b)
+    return None
+
+
+def _rump_weights(n: int) -> np.ndarray:
+    """gamma_{i+1} / (1 - gamma_{i+1}) for i = 1..n, gamma_k = k u / (1 - k u)."""
+    ku = np.arange(2, n + 2) * UNIT_ROUNDOFF
+    gamma = ku / (1.0 - ku)
+    return gamma / (1.0 - gamma)
+
+
+def _cholesky_margin(a: np.ndarray) -> float | None:
+    """Factor the symmetric `a` (read from its upper triangle) as R^T R in
+    place, in blocks of CHOLESKY_ROWS rows; None when a pivot is not
+    positive. On success return c with lambda_min(a) >= -c.
+
+    The computed R satisfies R^T R = a + E with |E_ij| <= gamma_{min(i,j)+1}
+    |r_i|^T |r_j| in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), and ||r_i||^2 <= a_ii / (1 - gamma_{i+1}),
+    so ||E||_2 <= sum_i gamma_{i+1} / (1 - gamma_{i+1}) a_ii (Rump,
+    "Verification of positive definiteness", BIT 46, 2006). The returned c is
+    that sum, raised by 1e-6 of itself to cover its own rounding and any
+    underflow. Every r_ij is a true division by r_ii, as the bound assumes.
+    """
+    n = len(a)
+    c = float(_rump_weights(n) @ a.diagonal()) * (1.0 + 1e-6)
+    for k0 in range(0, n, CHOLESKY_ROWS):
+        k1 = min(k0 + CHOLESKY_ROWS, n)
+        for i in range(k0, k1):
+            row = a[i, i:]
+            row -= a[k0:i, i] @ a[k0:i, i:]
+            if not row[0] > 0.0:
+                return None
+            r = np.sqrt(row[0])
+            row[1:] /= r
+            row[0] = r
+        panel = a[k0:k1, k1:]
+        for j0 in range(k1, n, CHOLESKY_ROWS):
+            j1 = min(j0 + CHOLESKY_ROWS, n)
+            a[j0:j1, j0:] -= panel[:, j0 - k1:j1 - k1].T @ panel[:, j0 - k1:]
+    return c
 
 
 def rmax(g: gr.Graph) -> float:

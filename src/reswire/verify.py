@@ -73,10 +73,16 @@ def random_nonbipartite_connected_graph(rng: random.Random, n: int) -> gr.Graph:
 
 
 def random_non_edge(rng: random.Random, g: gr.Graph):
-    candidates = rw.same_component_non_edges(g)
+    return pop_random(rng, rw.same_component_non_edges(g))
+
+
+def pop_random(rng: random.Random, candidates: list):
+    """Remove and return a uniform draw from `candidates`, None if empty.
+    Adding the drawn edge removes exactly it from the sorted non-edge list,
+    so a run that keeps one list draws as `random_non_edge` on each graph."""
     if not candidates:
         return None
-    return candidates[rng.randrange(len(candidates))]
+    return candidates.pop(rng.randrange(len(candidates)))
 
 
 def suite_p5_counterexample(seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
@@ -152,9 +158,10 @@ def suite_woodbury(seed: int = 0, n: int = 40, insertions: int = 50,
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
     state = ResistanceState(g)
+    candidates = rw.same_component_non_edges(g)
     monotone = True
     for _ in range(insertions):
-        pair = random_non_edge(rng, state.current_graph())
+        pair = pop_random(rng, candidates)
         if pair is None:
             break
         before = state.rtot
@@ -194,8 +201,9 @@ def suite_monotonicity(seed: int = 0, trials: int = 50, n_max: int = 25,
     for _ in range(trials):
         g = random_connected_graph(rng, rng.randint(3, n_max))
         state = ResistanceState(g)
+        candidates = rw.same_component_non_edges(g)
         for _ in range(insertions):
-            pair = random_non_edge(rng, state.current_graph())
+            pair = pop_random(rng, candidates)
             if pair is None:
                 break
             before = state.rtot

@@ -5,6 +5,7 @@ import pytest
 from reswire import (
     BipartiteGraphError,
     BoundParams,
+    build_graph,
     jacobian_bound_adjacency,
     jacobian_bound_resistance,
     rmax,
@@ -43,6 +44,20 @@ class TestAdjacencyBound:
     def test_r1_k2(self, k2):
         # Ahat(K2) off-diagonal is 1, so the l<=1 power sum is 1; (2ab)^1 = 2
         assert jacobian_bound_adjacency(k2, 0, 1, BoundParams(r=1)) == pytest.approx(2)
+
+    @pytest.mark.parametrize("pair", [(-1, 3), (0, 9), (5, 0)])
+    def test_out_of_range_rejected(self, pair):
+        g = random_nonbipartite_connected_graph(random.Random(0), 5)
+        for bound in (jacobian_bound_adjacency, jacobian_bound_resistance):
+            with pytest.raises(ValueError, match="out of range"):
+                bound(g, *pair, BoundParams(r=2))
+
+    def test_isolated_endpoint(self):
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2)])  # vertex 3 is isolated
+        p = BoundParams(r=3)
+        assert jacobian_bound_adjacency(g, 3, 3, p) == 2.0 ** 3
+        assert jacobian_bound_adjacency(g, 3, 0, p) == 0.0
+        assert jacobian_bound_adjacency(g, 0, 3, p) == 0.0
 
     def test_matches_dense_powers(self):
         import numpy as np

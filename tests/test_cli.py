@@ -1,12 +1,20 @@
 import json
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reswire import from_edge_list, total_resistance
+from reswire import from_edge_list, is_bipartite, to_edge_list, total_resistance
 from reswire import spectral as sp
 from reswire.cli import main
+from reswire.verify import random_connected_graph
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 P5 = "0 1\n1 2\n2 3\n3 4\n"
 TWO_K2 = "0 1\n2 3\n"
@@ -131,6 +139,15 @@ class TestBounds:
         path.write_text(C4)
         assert main(["bounds", "--input", str(path)]) == 3
 
+    @pytest.mark.parametrize("pair", [("-1", "3"), ("0", "9"), ("5", "0")])
+    def test_pair_out_of_range_exit_2(self, tmp_path, capsys, pair):
+        path = tmp_path / "c5chord.el"
+        path.write_text(C5_CHORD)
+        assert main(["bounds", "--input", str(path), "--pair", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*out of range[^\n]*\n", captured.err)
+
     def test_r0_pair_adjacency_zero(self, tmp_path, capsys):
         path = tmp_path / "k3.el"
         path.write_text(TRIANGLE)
@@ -142,40 +159,55 @@ class TestBounds:
 
 
 class TestDenseSolves:
-    """One CLI call inverts L + 11^T/n once and solves each eigenproblem
-    once, however many of its outputs rest on M or mu."""
+    """One CLI call inverts L + 11^T/n once and runs no n x n eigensolve:
+    sigma_2 and mu come from Lanczos, whose tridiagonal stays smaller than
+    n x n on this 120-vertex graph."""
+
+    N = 120
 
     @pytest.fixture
     def calls(self, monkeypatch, fresh_memo):
-        counts = {"inverse": 0, "eigvalsh": 0}
+        counts = {"inverse": 0, "eigensolve": 0}
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
+        def counted(key, fn, full_size_only=False):
+            def wrapper(a, *args, **kwargs):
+                if not full_size_only or np.shape(a)[-1] >= self.N:
+                    counts[key] += 1
+                return fn(a, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(sp, "regularized_inverse_dense",
                             counted("inverse", sp.regularized_inverse_dense))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted("eigensolve", getattr(np.linalg, name), True))
         return counts
 
     @pytest.fixture
     def graph_file(self, tmp_path):
-        path = tmp_path / "c5chord.el"
-        path.write_text(C5_CHORD)
+        g = random_connected_graph(random.Random(3), self.N, 0.05)
+        assert not any(is_bipartite(g))
+        path = tmp_path / "g.el"
+        path.write_text(to_edge_list(g))
         return str(path)
 
     def test_stats(self, graph_file, calls, capsys):
         assert main(["stats", "--input", graph_file]) == 0
-        assert json.loads(capsys.readouterr().out)["rmax"] > 0
-        assert calls == {"inverse": 1, "eigvalsh": 1}
+        out = json.loads(capsys.readouterr().out)
+        assert out["rmax"] > 0 and out["spectral_gap"] > 0
+        assert calls == {"inverse": 1, "eigensolve": 0}
 
     def test_bounds_pair(self, graph_file, calls, capsys):
         assert main(["bounds", "--input", graph_file, "--pair", "1", "3", "--r", "2"]) == 0
         assert "pair" in json.loads(capsys.readouterr().out)
-        # one eigensolve for mu, one for sigma_2
-        assert calls == {"inverse": 1, "eigvalsh": 2}
+        assert calls == {"inverse": 1, "eigensolve": 0}
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, reswire.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 class TestCurve:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reswire import (
     BipartiteGraphError,
@@ -14,8 +16,12 @@ from reswire import (
     effective_resistance,
     effective_resistance_flow,
     effective_resistance_normalized,
+    is_bipartite,
+    jacobian_bound_resistance,
+    BoundParams,
     laplacian,
     mu_bound,
+    normalized_adjacency,
     regularized_inverse,
     resistance_series_truncated,
     rmax,
@@ -30,8 +36,10 @@ from reswire.verify import (
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_nonbipartite_connected_graph,
     random_tree,
 )
+from reswire.graph import components
 
 from conftest import random_graphs
 
@@ -360,3 +368,103 @@ class TestDenseMemo:
                     total_resistance(g)
         assert len(calls) == 2
         assert total_resistance(g) == pytest.approx(10.0)
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def barbell(k):
+    """Two copies of K_k joined by one edge."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return build_graph(2 * k, clique + [(u + k, v + k) for u, v in clique] + [(k - 1, k)])
+
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return build_graph(n, edges)
+
+
+def extreme_eigenvalue_graphs():
+    """Paths, cycles, complete and complete bipartite graphs, barbells,
+    random connected graphs, the same with isolated vertices, and two
+    non-bipartite components."""
+    rng = st.randoms(use_true_random=False)
+    return st.one_of(
+        st.integers(2, 30).map(path_graph),
+        st.integers(3, 30).map(cycle_graph),
+        st.integers(2, 30).map(complete_graph),
+        st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda t: complete_bipartite(*t)),
+        st.integers(2, 12).map(barbell),
+        st.tuples(rng, st.integers(2, 40)).map(lambda t: random_connected_graph(*t)),
+        st.tuples(rng, st.integers(2, 30), st.integers(1, 5)).map(
+            lambda t: disjoint_union(random_connected_graph(t[0], t[1]), build_graph(t[2], []))),
+        st.tuples(rng, st.integers(3, 20), st.integers(3, 20)).map(
+            lambda t: disjoint_union(random_nonbipartite_connected_graph(t[0], t[1]),
+                                     random_nonbipartite_connected_graph(t[0], t[2]))),
+    )
+
+
+class TestExtremeEigenvalues:
+    """Lanczos sigma_2 and certified mu against a dense eigvalsh."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_eigenvalue_graphs())
+    def test_match_eigvalsh(self, g):
+        if g.num_components == 1:
+            sigma2 = np.linalg.eigvalsh(laplacian(g))[1]
+            assert spectral_gap(g) == pytest.approx(sigma2, rel=1e-9, abs=0)
+        mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
+        mu = max(abs(mu_all[0]), abs(mu_all[-2]))
+        mu_hat = mu_bound(g)
+        assert mu_hat >= min(mu, 1.0)  # eigvalsh can read above the true maximum 1
+        assert mu_hat == 1.0 or mu_hat <= mu * (1 + 1e-9)
+        nontrivial = [sub for _, sub in components(g) if sub.n > 1]
+        if len(nontrivial) > 1 or any(is_bipartite(sub)[0] for sub in nontrivial):
+            assert mu_hat == 1.0
+
+    @pytest.mark.parametrize("steps", [8, 16])
+    def test_dense_route_when_lanczos_stops(self, monkeypatch, fresh_memo, steps):
+        """Past LANCZOS_MAX_STEPS both quantities come from eigvalsh, and mu
+        is still certified."""
+        monkeypatch.setattr(sp, "LANCZOS_MAX_STEPS", steps)
+        for g in [cycle_graph(41), barbell(9)] + random_graphs(23, 4, 30, 50):
+            sp._mu.cache_clear()
+            sigma2 = np.linalg.eigvalsh(laplacian(g))[1]
+            assert spectral_gap(g) == pytest.approx(sigma2, rel=1e-9, abs=0)
+            mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
+            mu = max(abs(mu_all[0]), abs(mu_all[-2]))
+            assert mu <= mu_bound(g) <= mu * (1 + 1e-9)
+
+    def test_two_components_reject_resistance_bound(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            g = disjoint_union(random_nonbipartite_connected_graph(rng, rng.randint(3, 15)),
+                               random_nonbipartite_connected_graph(rng, rng.randint(3, 15)))
+            assert mu_bound(g) == 1.0
+            with pytest.raises(BipartiteGraphError):
+                jacobian_bound_resistance(g, 0, 1, BoundParams(r=2))
+
+
+def test_singletons_are_not_inverted(monkeypatch):
+    """Many isolated vertices: one inverse per component of two or more
+    vertices, and the same (vertex array, M) pairs as inverting each."""
+    rng = random.Random(8)
+    g = shuffled_union(rng, [1, 7, 1, 1, 12, 1, 2, 1])
+    expected = [(verts, regularized_inverse_dense(laplacian(sub)))
+                for verts, sub in components(g)]
+    calls = []
+
+    def counted(lap):
+        calls.append(len(lap))
+        return regularized_inverse_dense(lap)
+
+    monkeypatch.setattr(sp, "regularized_inverse_dense", counted)
+    got = sp.component_inverses(g)
+    assert sorted(calls) == [2, 7, 12]
+    assert len(got) == len(expected)
+    for (v1, m1), (v2, m2) in zip(got, expected):
+        assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
