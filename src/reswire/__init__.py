@@ -18,8 +18,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    adjacency,
-    boundary_matrix,
     build_graph,
     components,
     degrees,
@@ -27,31 +25,21 @@ from .graph import (
     is_bipartite,
     laplacian,
     normalized_adjacency,
-    normalized_laplacian,
     to_edge_list,
 )
 from .rewiring import (
     RewirePlan,
-    brute_force_optimal,
-    delta_table,
     gtr,
-    nonmonotonicity_witness,
     random_baseline,
     rewire,
     same_component_non_edges,
 )
 from .spectral import (
-    Spectrum,
     biharmonic_distance_sq,
     effective_resistance,
-    effective_resistance_flow,
-    effective_resistance_normalized,
     mu_bound,
-    regularized_inverse,
-    resistance_series_truncated,
     rmax,
     spectral_gap,
-    spectrum,
     total_resistance,
 )
 from .state import ResistanceState

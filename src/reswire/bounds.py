@@ -8,6 +8,7 @@ value is returned and callers may flag negativity, never clamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,14 @@ class BoundParams:
     d_max: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 1:
-            raise ValueError("beta must be at least 1")
+        # written so that NaN fails every check
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and at least 1")
         if self.r < 0:
             raise ValueError("layer count r must be non-negative")
-        if self.mu is not None and not (0.0 <= self.mu):
+        if self.mu is not None and not self.mu >= 0:
             raise ValueError("mu must be non-negative")
 
 

@@ -17,7 +17,6 @@ from . import graph as gr
 from . import rewiring as rw
 from . import spectral as sp
 from .errors import BipartiteGraphError, EdgeListParseError, ReswireError
-from .verify import SUITES, run_suites
 
 
 def _fmt(x):
@@ -33,11 +32,7 @@ def _fmt(x):
 
 
 def _dump_json(obj, path=None):
-    text = json.dumps(_fmt(obj), indent=2) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(_fmt(obj), indent=2) + "\n", path)
 
 
 def _write_text(text, path=None):
@@ -136,13 +131,13 @@ def cmd_bounds(args) -> int:
         print(f"error: --pair {args.pair[0]} {args.pair[1]} out of range for n={g.n}",
               file=sys.stderr)
         return 2
-    p = bd.BoundParams(alpha=args.alpha, beta=args.beta, r=args.r, mu=args.mu)
     payload = {
         "input": str(args.input),
         "params": {"alpha": args.alpha, "beta": args.beta, "r": args.r,
                    "mu": args.mu},
     }
     try:
+        p = bd.BoundParams(alpha=args.alpha, beta=args.beta, r=args.r, mu=args.mu)
         payload["total_bound"] = bd.total_jacobian_bound(g, p)
         payload["spectral_gap_bound"] = bd.spectral_gap_jacobian_bound(g, p)
         if args.pair:
@@ -158,18 +153,20 @@ def cmd_bounds(args) -> int:
     except BipartiteGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ReswireError as exc:
+    except (ReswireError, ValueError) as exc:  # ValueError: a bad --alpha/--beta/--r/--mu
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _dump_json(payload, args.output)
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type of --k: a non-negative integer, else exit code 2."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return int(text)
+def _count(minimum: int):
+    """argparse type: an integer of at least `minimum`, else exit code 2."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"not an integer >= {minimum}: {text!r}")
+        return int(text)
+    return parse
 
 
 def _gather_inputs(args):
@@ -207,19 +204,21 @@ def cmd_curve(args) -> int:
     if len(trajectories) == 1:
         lines = ["edges_added,rtot"]
         for i, r in enumerate(trajectories[0]):
-            lines.append(f"{i},{sp.format_sig(r)}")
+            lines.append(f"{i},{r:.17g}")
     else:
         lines = ["edges_added,mean_rtot,graph_count"]
         max_len = max(len(t) for t in trajectories)
         for i in range(max_len):
             vals = [t[i] for t in trajectories if i < len(t)]
             mean = sum(vals) / len(vals)
-            lines.append(f"{i},{sp.format_sig(mean)},{len(vals)}")
+            lines.append(f"{i},{mean:.17g},{len(vals)}")
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites  # the oracles load only here
+
     names = [args.suite] if args.suite else None
     if args.suite and args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; "
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_plan(p, func):
         add_io(p, directory=True)
-        p.add_argument("--k", type=_count, required=True)
+        p.add_argument("--k", type=_count(0), required=True)
         p.add_argument("--method", choices=["gtr", "random"], default="gtr")
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
@@ -283,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run self-check oracle suites")
     p_verify.add_argument("--suite", help="run a single named suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None, dest="n")
+    p_verify.add_argument("--trials", type=_count(1), default=None)
+    # theorem-delta draws sizes from randint(4, n)
+    p_verify.add_argument("--n", type=_count(4), default=None, dest="n")
     p_verify.add_argument("--tolerance", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -157,14 +157,6 @@ def degrees(g: Graph) -> np.ndarray:
     return d
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
-
-
 def _edge_array(g: Graph) -> np.ndarray:
     return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
 
@@ -176,11 +168,6 @@ def laplacian(g: Graph) -> np.ndarray:
     lap[e[:, 0], e[:, 1]] = lap[e[:, 1], e[:, 0]] = -1.0
     np.fill_diagonal(lap, np.bincount(e.ravel(), minlength=g.n))
     return lap
-
-
-def nonisolated(g: Graph) -> np.ndarray:
-    """Indices of vertices with degree >= 1, in increasing order."""
-    return np.flatnonzero(degrees(g) > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,20 +204,6 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     ahat = np.zeros((e.n, e.n))
     ahat[e.rows, e.cols] = ahat[e.cols, e.rows] = e.weights
     return ahat
-
-
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    ahat = normalized_adjacency(g)
-    return np.eye(ahat.shape[0]) - ahat
-
-
-def boundary_matrix(g: Graph) -> np.ndarray:
-    """n x m vertex-edge incidence, +1 at the lower-index endpoint."""
-    b = np.zeros((g.n, g.m))
-    for j, (u, v) in enumerate(g.edges):
-        b[u, j] = 1.0
-        b[v, j] = -1.0
-    return b
 
 
 def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:

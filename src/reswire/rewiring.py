@@ -1,19 +1,18 @@
-"""Greedy total-resistance rewiring, baselines, and exhaustive oracles."""
+"""Greedy total-resistance rewiring and the seeded random baseline.
+
+Both score candidates through one `ResistanceState`; the exhaustive
+searches that check them live in `verify`.
+"""
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import warnings
 from dataclasses import dataclass
 
 from . import graph as gr
-from . import spectral as sp
-from .errors import InfeasibleSearchError
 from .state import ResistanceState
-
-BRUTE_FORCE_CAP = 10**6
 
 
 @dataclass
@@ -118,53 +117,3 @@ def rewire(g: gr.Graph, k: int, method: str = "gtr", seed: int = 0) -> RewirePla
         return random_baseline(g, k, seed)
     raise ValueError(f"unknown method {method!r}")
 
-
-def brute_force_optimal(g: gr.Graph, k: int, cap: int = BRUTE_FORCE_CAP):
-    """Exhaustive search for the k same-component non-edges minimizing the
-    total resistance of the augmented graph. Returns (edge tuple, rtot).
-
-    Ties break by lexicographic edge-set order (the first minimizer found
-    when iterating sorted combinations)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    candidates = same_component_non_edges(g)
-    if k > len(candidates):
-        raise InfeasibleSearchError(
-            f"k={k} exceeds the {len(candidates)} available non-edges"
-        )
-    n_combos = math.comb(len(candidates), k)
-    if n_combos > cap:
-        raise InfeasibleSearchError(
-            f"{n_combos} candidate sets exceed the cap of {cap}"
-        )
-    best_edges: tuple = ()
-    best_rtot = math.inf
-    for combo in itertools.combinations(candidates, k):
-        rtot = sp.total_resistance(g.with_edges(combo))
-        if rtot < best_rtot:
-            best_rtot = rtot
-            best_edges = combo
-    if k == 0:
-        best_rtot = sp.total_resistance(g)
-    return best_edges, best_rtot
-
-
-def delta_table(g: gr.Graph) -> dict[tuple[int, int], float]:
-    """Exact total-resistance decrease for every same-component non-edge."""
-    state = ResistanceState(g)
-    return {(u, v): d for u, v, _, _, d in state.all_pair_scores()}
-
-
-def nonmonotonicity_witness(g: gr.Graph, margin: float = 1e-9):
-    """First (e, f) pair, scanning f then e lexicographically, where the
-    decrease from adding e strictly grows after f is added. None if the
-    exhaustive scan finds no witness."""
-    base = delta_table(g)
-    for f in sorted(base):
-        after = delta_table(g.with_edges([f]))
-        for e in sorted(after):
-            if e == f or e not in base:
-                continue
-            if after[e] > base[e] + margin:
-                return e, f
-    return None

@@ -1,4 +1,4 @@
-"""Eigendecompositions, pseudoinverses, and resistance quantities.
+"""Resistance quantities and the two extreme eigenvalues the bounds need.
 
 Everything here is batch (from scratch). The closed forms follow the
 regularized-inverse identities: with M = (L + 11^T/n)^{-1} on a connected
@@ -8,12 +8,15 @@ component,
     B^2_{u,v} = ||M (1_u - 1_v)||^2
     R_tot     = n * tr(M) - n
 
-A dense eigendecomposition is used only by Spectrum and the oracles.
+The independent routes to the same quantities (pseudoinverses, minimum-norm
+flows, the power series) live in `verify`.
+
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
 normalized adjacency as an edge list, certified by two Cholesky
 factorizations with a floating-point margin (Rump, BIT 46, 2006). mu is
-then never below its true value.
+then never below its true value. A dense eigensolve runs only in the
+fallback of `spectral_gap` and `mu_bound`, when Lanczos gives up.
 
 The per-component M list and mu are computed once per graph: each sits in
 an lru_cache(maxsize=1) keyed on the (immutable, hashable) Graph, so it
@@ -26,20 +29,14 @@ vertex's local index is its position in its component's vertex array.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import graph as gr
-from .errors import (
-    BipartiteGraphError,
-    DisconnectedGraphError,
-    IllConditionedError,
-)
+from .errors import DisconnectedGraphError, IllConditionedError
 
 RCOND_LIMIT = 1e-12
-SERIES_MAX_TERMS = 10**5
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
 CHOLESKY_ROWS = 128  # 70 ms against 85 ms at 64 rows, n=1600
 LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
@@ -47,34 +44,6 @@ LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
 LANCZOS_MAX_STEPS = 256  # sigma_2 and mu take 40 and 150 at n=1600, degree 6; mu 176 at n=3200
 MU_STEP_GROWTH = 10.0  # factor on t - theta after a failed certificate
 UNIT_ROUNDOFF = 2.0 ** -53
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues of L (sigma, ascending), of the normalized Laplacian
-    (lam, ascending), of the normalized adjacency (mu, descending), and the
-    shared orthonormal eigenvector basis z of the normalized matrices."""
-
-    sigma: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    z: np.ndarray
-
-
-def spectrum(g: gr.Graph) -> Spectrum:
-    sigma = np.linalg.eigvalsh(gr.laplacian(g))
-    lhat = gr.normalized_laplacian(g)
-    lam, z = np.linalg.eigh(lhat)
-    return Spectrum(sigma=sigma, lam=lam, mu=1.0 - lam, z=z)
-
-
-def pseudo_inverse(mat: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via symmetric eigendecomposition."""
-    w, v = np.linalg.eigh(mat)
-    cutoff = 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    out = (v * inv) @ v.T
-    return (out + out.T) / 2.0
 
 
 def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
@@ -101,10 +70,11 @@ def _rcond_lower_bound(a: np.ndarray, m: np.ndarray) -> float:
 
 
 def component_inverses(g: gr.Graph):
-    """Per-component (vertex array, M) pairs, ordered by component label,
-    each from the Laplacian of that component's own graph. A one-vertex
-    component has L + 11^T/n = [[1]], so its M = [[1.0]] is not inverted."""
-    return [(verts, np.ones((1, 1)) if sub.n == 1
+    """Per-component (vertex array, own graph, M) triples from one split
+    of `g`, ordered by component label, each M from the Laplacian of that
+    component's own graph. A one-vertex component has L + 11^T/n = [[1]],
+    so its M = [[1.0]] is not inverted."""
+    return [(verts, sub, np.ones((1, 1)) if sub.n == 1
              else regularized_inverse_dense(gr.laplacian(sub)))
             for verts, sub in gr.components(g)]
 
@@ -112,23 +82,10 @@ def component_inverses(g: gr.Graph):
 @lru_cache(maxsize=1)
 def _inverses(g: gr.Graph):
     """The (vertex array, read-only M) pairs of `component_inverses`."""
-    pairs = tuple(component_inverses(g))
+    pairs = tuple((verts, m) for verts, _, m in component_inverses(g))
     for _, m in pairs:
         m.flags.writeable = False
     return pairs
-
-
-def regularized_inverse(g: gr.Graph) -> np.ndarray:
-    """M for a connected graph."""
-    if g.num_components != 1:
-        raise DisconnectedGraphError("regularized_inverse requires a connected graph")
-    return regularized_inverse_dense(gr.laplacian(g))
-
-
-def _component_pair(g: gr.Graph, u: int, v: int):
-    """(own graph of u's component, local u, local v)."""
-    verts, sub = gr.components(g)[gr._component_label(g, u, v)]
-    return (sub, *np.searchsorted(verts, (u, v)).tolist())
 
 
 def _inverse_pair(g: gr.Graph, u: int, v: int):
@@ -144,34 +101,6 @@ def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
         return 0.0
     m, lu, lv = _inverse_pair(g, u, v)
     return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
-
-
-def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
-    """Resistance via the normalized-Laplacian pseudoinverse route."""
-    if u == v:
-        gr._component_label(g, u, v)
-        return 0.0
-    sub, lu, lv = _component_pair(g, u, v)
-    lhat_pinv = pseudo_inverse(gr.normalized_laplacian(sub))
-    d = gr.degrees(sub).astype(float)
-    x = np.zeros(sub.n)
-    x[lu] = 1.0 / np.sqrt(d[lu])
-    x[lv] -= 1.0 / np.sqrt(d[lv])
-    return float(x @ lhat_pinv @ x)
-
-
-def effective_resistance_flow(g: gr.Graph, u: int, v: int) -> float:
-    """Resistance as the minimum squared 2-norm of a unit u->v flow."""
-    if u == v:
-        gr._component_label(g, u, v)
-        return 0.0
-    sub, lu, lv = _component_pair(g, u, v)
-    b = gr.boundary_matrix(sub)
-    rhs = np.zeros(sub.n)
-    rhs[lu] = 1.0
-    rhs[lv] = -1.0
-    f, *_ = np.linalg.lstsq(b, rhs, rcond=None)
-    return float(f @ f)
 
 
 def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
@@ -190,41 +119,6 @@ def total_resistance(g: gr.Graph) -> float:
         nc = len(verts)
         total += nc * float(np.trace(m)) - nc
     return total
-
-
-def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> float:
-    """Resistance via the normalized-adjacency power series with a spectral
-    tail-bound stopping rule. Requires the component to be non-bipartite."""
-    if u == v:
-        raise ValueError("series form requires u != v")
-    sub, lu, lv = _component_pair(g, u, v)
-    if gr.is_bipartite(sub)[0]:
-        raise BipartiteGraphError(
-            "power series diverges on bipartite components (mu_n = -1)"
-        )
-    _, ahat = gr.normalized_adjacency_edges(sub)  # a component has no isolated vertex
-    mu = mu_bound(sub)
-    if mu >= 1.0:
-        raise BipartiteGraphError(f"spectral bound mu={mu} >= 1; series diverges")
-    d = gr.degrees(sub).astype(float)
-    du, dv = d[lu], d[lv]
-    d_min = min(du, dv)
-    # term_i = (A^i)_uu/du + (A^i)_vv/dv - 2 (A^i)_uv / sqrt(du dv)
-    xu = np.zeros(sub.n)
-    xu[lu] = 1.0
-    xv = np.zeros(sub.n)
-    xv[lv] = 1.0
-    total = 0.0
-    for i in range(SERIES_MAX_TERMS):
-        total += xu[lu] / du + xv[lv] / dv - 2.0 * xv[lu] / np.sqrt(du * dv)
-        tail = 2.0 * mu ** (i + 1) / (d_min * (1.0 - mu))
-        if tail < tol:
-            return total
-        xu = ahat @ xu
-        xv = ahat @ xv
-    raise ArithmeticError(
-        f"series did not reach tolerance {tol} within {SERIES_MAX_TERMS} terms"
-    )
 
 
 def spectral_gap(g: gr.Graph) -> float:
@@ -380,6 +274,3 @@ def rmax(g: gr.Graph) -> float:
     return float(max(np.max(d[lo:lo + BLOCK_ROWS, None] + d - 2.0 * m[lo:lo + BLOCK_ROWS])
                      for lo in range(0, len(d), BLOCK_ROWS)))
 
-
-def format_sig(x: float) -> str:
-    return format(x, ".17g")

@@ -9,9 +9,9 @@ w_v, B^2 = w^T w, c = 1/(1 + R) and one product Mw, all from the pre-update M:
     M' = M - c w w^T
     N' = M'^2 = N + U S U^T,  U = [w, Mw],  S = [[c^2 B^2, -c], [-c, 0]]
 
-Each component works on local indices: its vertex array and its own graph
-come from `graph.components`, and a vertex's local index is its position
-in that array.
+Each component works on local indices: its vertex array, its own graph
+and its M come from one `spectral.component_inverses` call (one split of
+the graph), and a vertex's local index is its position in that array.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class ResistanceState:
 
     def __init__(self, g: gr.Graph):
         self.original = g
-        self.comps = [_Component(verts, sub, m) for (verts, sub), (_, m)
-                      in zip(gr.components(g), sp.component_inverses(g))]
+        self.comps = [_Component(verts, sub, m)
+                      for verts, sub, m in sp.component_inverses(g)]
         self.rtot = sum(c.rtot() for c in self.comps)
         self.added_edges: list[tuple[int, int]] = []
 

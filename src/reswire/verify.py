@@ -1,14 +1,17 @@
-"""Self-check suites: randomized oracles and the path-graph fixtures.
+"""Independent oracles, self-check suites and the path-graph fixtures.
 
 Each suite generates its own instances from a seed and reports the maximum
-observed deviation against an independent route (from-scratch recompute,
-eigendecomposition, exhaustive search). These are the same oracles the test
-suite freezes its expected values with.
+observed deviation against an independent route (pseudoinverse, minimum-norm
+flow, power series, exhaustive search, from-scratch recompute). These are
+the same oracles the test suite freezes its expected values with; only
+`reswire verify` and the tests load this module.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,7 +27,11 @@ from .bounds import (
     spectral_gap_jacobian_bound,
     total_jacobian_bound,
 )
+from .errors import BipartiteGraphError, InfeasibleSearchError
 from .state import ResistanceState
+
+SERIES_MAX_TERMS = 10**5
+BRUTE_FORCE_CAP = 10**6
 
 
 @dataclass
@@ -85,11 +92,154 @@ def pop_random(rng: random.Random, candidates: list):
     return candidates.pop(rng.randrange(len(candidates)))
 
 
+def normalized_laplacian(g: gr.Graph) -> np.ndarray:
+    ahat = gr.normalized_adjacency(g)
+    return np.eye(ahat.shape[0]) - ahat
+
+
+def boundary_matrix(g: gr.Graph) -> np.ndarray:
+    """n x m vertex-edge incidence, +1 at the lower-index endpoint."""
+    b = np.zeros((g.n, g.m))
+    for j, (u, v) in enumerate(g.edges):
+        b[u, j] = 1.0
+        b[v, j] = -1.0
+    return b
+
+
+def pseudo_inverse(mat: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via symmetric eigendecomposition."""
+    w, v = np.linalg.eigh(mat)
+    cutoff = 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1.0, w), 0.0)
+    out = (v * inv) @ v.T
+    return (out + out.T) / 2.0
+
+
+def _component_pair(g: gr.Graph, u: int, v: int):
+    """(own graph of u's component, local u, local v)."""
+    verts, sub = gr.components(g)[gr._component_label(g, u, v)]
+    return (sub, *np.searchsorted(verts, (u, v)).tolist())
+
+
+def effective_resistance_normalized(g: gr.Graph, u: int, v: int) -> float:
+    """Resistance via the normalized-Laplacian pseudoinverse route."""
+    if u == v:
+        gr._component_label(g, u, v)
+        return 0.0
+    sub, lu, lv = _component_pair(g, u, v)
+    lhat_pinv = pseudo_inverse(normalized_laplacian(sub))
+    d = gr.degrees(sub).astype(float)
+    x = np.zeros(sub.n)
+    x[lu] = 1.0 / np.sqrt(d[lu])
+    x[lv] -= 1.0 / np.sqrt(d[lv])
+    return float(x @ lhat_pinv @ x)
+
+
+def effective_resistance_flow(g: gr.Graph, u: int, v: int) -> float:
+    """Resistance as the minimum squared 2-norm of a unit u->v flow."""
+    if u == v:
+        gr._component_label(g, u, v)
+        return 0.0
+    sub, lu, lv = _component_pair(g, u, v)
+    b = boundary_matrix(sub)
+    rhs = np.zeros(sub.n)
+    rhs[lu] = 1.0
+    rhs[lv] = -1.0
+    f, *_ = np.linalg.lstsq(b, rhs, rcond=None)
+    return float(f @ f)
+
+
+def resistance_series_truncated(g: gr.Graph, u: int, v: int, tol: float) -> float:
+    """Resistance via the normalized-adjacency power series with a spectral
+    tail-bound stopping rule. Requires the component to be non-bipartite."""
+    if u == v:
+        raise ValueError("series form requires u != v")
+    sub, lu, lv = _component_pair(g, u, v)
+    if gr.is_bipartite(sub)[0]:
+        raise BipartiteGraphError(
+            "power series diverges on bipartite components (mu_n = -1)"
+        )
+    _, ahat = gr.normalized_adjacency_edges(sub)  # a component has no isolated vertex
+    mu = sp.mu_bound(sub)
+    if mu >= 1.0:
+        raise BipartiteGraphError(f"spectral bound mu={mu} >= 1; series diverges")
+    d = gr.degrees(sub).astype(float)
+    du, dv = d[lu], d[lv]
+    d_min = min(du, dv)
+    # term_i = (A^i)_uu/du + (A^i)_vv/dv - 2 (A^i)_uv / sqrt(du dv)
+    xu = np.zeros(sub.n)
+    xu[lu] = 1.0
+    xv = np.zeros(sub.n)
+    xv[lv] = 1.0
+    total = 0.0
+    for i in range(SERIES_MAX_TERMS):
+        total += xu[lu] / du + xv[lv] / dv - 2.0 * xv[lu] / np.sqrt(du * dv)
+        tail = 2.0 * mu ** (i + 1) / (d_min * (1.0 - mu))
+        if tail < tol:
+            return total
+        xu = ahat @ xu
+        xv = ahat @ xv
+    raise ArithmeticError(
+        f"series did not reach tolerance {tol} within {SERIES_MAX_TERMS} terms"
+    )
+
+
+def brute_force_optimal(g: gr.Graph, k: int, cap: int = BRUTE_FORCE_CAP):
+    """Exhaustive search for the k same-component non-edges minimizing the
+    total resistance of the augmented graph. Returns (edge tuple, rtot).
+
+    Ties break by lexicographic edge-set order (the first minimizer found
+    when iterating sorted combinations)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    candidates = rw.same_component_non_edges(g)
+    if k > len(candidates):
+        raise InfeasibleSearchError(
+            f"k={k} exceeds the {len(candidates)} available non-edges"
+        )
+    n_combos = math.comb(len(candidates), k)
+    if n_combos > cap:
+        raise InfeasibleSearchError(
+            f"{n_combos} candidate sets exceed the cap of {cap}"
+        )
+    best_edges: tuple = ()
+    best_rtot = math.inf
+    for combo in itertools.combinations(candidates, k):
+        rtot = sp.total_resistance(g.with_edges(combo))
+        if rtot < best_rtot:
+            best_rtot = rtot
+            best_edges = combo
+    if k == 0:
+        best_rtot = sp.total_resistance(g)
+    return best_edges, best_rtot
+
+
+def delta_table(g: gr.Graph) -> dict[tuple[int, int], float]:
+    """Exact total-resistance decrease for every same-component non-edge."""
+    state = ResistanceState(g)
+    return {(u, v): d for u, v, _, _, d in state.all_pair_scores()}
+
+
+def nonmonotonicity_witness(g: gr.Graph, margin: float = 1e-9):
+    """First (e, f) pair, scanning f then e lexicographically, where the
+    decrease from adding e strictly grows after f is added. None if the
+    exhaustive scan finds no witness."""
+    base = delta_table(g)
+    for f in sorted(base):
+        after = delta_table(g.with_edges([f]))
+        for e in sorted(after):
+            if e == f or e not in base:
+                continue
+            if after[e] > base[e] + margin:
+                return e, f
+    return None
+
+
 def suite_p5_counterexample(seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
     # exact values: GTR ends at 90/11 ~= 8.18, the optimum is 23/3 ~= 7.67
     p5 = path_graph(5)
     plan = rw.gtr(p5, 2)
-    _, opt_rtot = rw.brute_force_optimal(p5, 2)
+    _, opt_rtot = brute_force_optimal(p5, 2)
     devs = [
         abs(plan.rtot_final - 90 / 11),
         abs(opt_rtot - 23 / 3),
@@ -147,8 +297,8 @@ def suite_triple_route(seed: int = 0, trials: int = 50, n_max: int = 15,
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 r0 = sp.effective_resistance(g, u, v)
-                r1 = sp.effective_resistance_normalized(g, u, v)
-                r2 = sp.effective_resistance_flow(g, u, v)
+                r1 = effective_resistance_normalized(g, u, v)
+                r2 = effective_resistance_flow(g, u, v)
                 worst = max(worst, abs(r0 - r1), abs(r0 - r2))
     return SuiteResult("triple-route", worst <= tolerance, worst, tolerance)
 
@@ -188,7 +338,7 @@ def suite_series(seed: int = 0, trials: int = 50, n_max: int = 15,
     for _ in range(trials):
         g = random_nonbipartite_connected_graph(rng, rng.randint(3, n_max))
         u, v = rng.sample(range(g.n), 2)
-        approx = sp.resistance_series_truncated(g, u, v, tolerance)
+        approx = resistance_series_truncated(g, u, v, tolerance)
         exact = sp.effective_resistance(g, u, v)
         worst = max(worst, abs(approx - exact))
     return SuiteResult("series", worst <= tolerance, worst, tolerance)
@@ -223,8 +373,8 @@ def suite_p20_nonmonotonicity(seed: int = 0, tolerance: float = 1e-6) -> SuiteRe
     p20 = path_graph(20)
     f = (0, 19)
     g1 = p20.with_edges([f])
-    before = rw.delta_table(p20)
-    after = rw.delta_table(g1)
+    before = delta_table(p20)
+    after = delta_table(g1)
     increased = [e for e in after if e in before and e != f and after[e] > before[e]]
     detail = f"{len(increased)} edges increased"
     worst = float("inf")

@@ -14,16 +14,11 @@ from reswire import (
     BipartiteGraphError,
     BoundParams,
     ResistanceState,
-    brute_force_optimal,
-    delta_table,
     effective_resistance,
-    effective_resistance_flow,
-    effective_resistance_normalized,
     gtr,
     jacobian_bound_adjacency,
     jacobian_bound_resistance,
     laplacian,
-    resistance_series_truncated,
     rmax,
     spectral_gap,
     spectral_gap_jacobian_bound,
@@ -31,11 +26,16 @@ from reswire import (
     total_resistance,
 )
 from reswire.verify import (
+    brute_force_optimal,
     cycle_graph,
+    delta_table,
+    effective_resistance_flow,
+    effective_resistance_normalized,
     path_graph,
     random_connected_graph,
     random_non_edge,
     random_nonbipartite_connected_graph,
+    resistance_series_truncated,
 )
 
 

@@ -148,6 +148,18 @@ class TestBounds:
         assert captured.out == ""
         assert re.fullmatch(r"error: [^\n]*out of range[^\n]*\n", captured.err)
 
+    @pytest.mark.parametrize("option", [
+        ("--r", "-1"), ("--alpha", "0"), ("--beta", "0.5"), ("--mu", "-0.1"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
+    ])
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, option):
+        path = tmp_path / "c5chord.el"
+        path.write_text(C5_CHORD)
+        assert main(["bounds", "--input", str(path), "--pair", "0", "2", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+
     def test_r0_pair_adjacency_zero(self, tmp_path, capsys):
         path = tmp_path / "k3.el"
         path.write_text(TRIANGLE)
@@ -204,10 +216,12 @@ class TestDenseSolves:
 
 
 def test_cli_import_leaves_scipy_out():
-    code = "import sys, reswire.cli; print('scipy' in sys.modules)"
+    # nor the oracles of reswire.verify, which only `reswire verify` loads
+    code = ("import sys, reswire.cli; "
+            "print('scipy' in sys.modules, 'reswire.verify' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestCurve:
@@ -271,6 +285,25 @@ class TestVerify:
             "verify", "--suite", "trace-identity", "--n", "25",
             "--trials", "50",
         ]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ("--suite", "theorem-delta", "--n", "3"), ("--suite", "series", "--n", "2"),
+        ("--suite", "trace-identity", "--n", "1"), ("--trials", "0"),
+        ("--suite", "p5-counterexample", "--trials", "-1"),
+    ])
+    def test_out_of_range_size_exit_2(self, capsys, args):
+        # a usage error, before any suite runs: exit 1 means a failed suite
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert args[-2] in captured.err
+
+    def test_smallest_sizes_run(self, capsys):
+        for suite in ("theorem-delta", "series", "trace-identity"):
+            assert main(["verify", "--suite", suite, "--n", "4", "--trials", "1"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_woodbury_tolerance_matches_printed_deviation(self, seed, capsys):

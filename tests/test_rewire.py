@@ -5,17 +5,17 @@ import pytest
 from reswire import (
     InfeasibleSearchError,
     ResistanceState,
-    brute_force_optimal,
     build_graph,
-    delta_table,
     gtr,
-    nonmonotonicity_witness,
     random_baseline,
     same_component_non_edges,
     total_resistance,
 )
 from reswire.verify import (
+    brute_force_optimal,
     complete_graph,
+    delta_table,
+    nonmonotonicity_witness,
     path_graph,
     random_connected_graph,
 )

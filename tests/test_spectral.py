@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,30 +15,30 @@ from reswire import (
     biharmonic_distance_sq,
     build_graph,
     effective_resistance,
-    effective_resistance_flow,
-    effective_resistance_normalized,
     is_bipartite,
     jacobian_bound_resistance,
     BoundParams,
     laplacian,
     mu_bound,
     normalized_adjacency,
-    regularized_inverse,
-    resistance_series_truncated,
     rmax,
     spectral_gap,
-    spectrum,
     total_resistance,
 )
 from reswire import spectral as sp
-from reswire.spectral import pseudo_inverse, regularized_inverse_dense
+from reswire.spectral import regularized_inverse_dense
 from reswire.verify import (
     complete_graph,
     cycle_graph,
+    effective_resistance_flow,
+    effective_resistance_normalized,
+    normalized_laplacian,
     path_graph,
+    pseudo_inverse,
     random_connected_graph,
     random_nonbipartite_connected_graph,
     random_tree,
+    resistance_series_truncated,
 )
 from reswire.graph import components
 
@@ -82,7 +83,7 @@ def parallel_paths(len_a, len_b):
 
 class TestRegularizedInverse:
     def test_k2_hand_value(self, k2):
-        m = regularized_inverse(k2)
+        m = regularized_inverse_dense(laplacian(k2))
         assert np.allclose(m, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
 
     def test_k2_pseudoinverse(self, k2):
@@ -91,19 +92,15 @@ class TestRegularizedInverse:
 
     def test_definition(self):
         for g in random_graphs(1, 5, 3, 12):
-            m = regularized_inverse(g)
+            m = regularized_inverse_dense(laplacian(g))
             a = laplacian(g) + np.ones((g.n, g.n)) / g.n
             assert np.allclose(m @ a, np.eye(g.n), atol=1e-8)
 
     def test_matches_pseudoinverse_plus_j(self):
         for g in random_graphs(2, 10, 2, 30):
-            m = regularized_inverse(g)
+            m = regularized_inverse_dense(laplacian(g))
             lp = pseudo_inverse(laplacian(g))
             assert np.allclose(m - np.ones((g.n, g.n)) / g.n, lp, atol=1e-8)
-
-    def test_disconnected_rejected(self, two_k2):
-        with pytest.raises(DisconnectedGraphError):
-            regularized_inverse(two_k2)
 
 
 class TestEffectiveResistance:
@@ -271,17 +268,19 @@ class TestSpectralQuantities:
 
     def test_spectrum_invariants(self):
         for g in random_graphs(17, 5, 3, 12):
-            s = spectrum(g)
-            assert abs(s.sigma[0]) <= 1e-8 * max(1.0, s.sigma[-1])
-            assert np.all(s.lam >= -1e-9) and np.all(s.lam <= 2 + 1e-9)
-            assert np.allclose(s.mu, 1.0 - s.lam, atol=1e-9)
-            assert np.allclose(s.z.T @ s.z, np.eye(g.n), atol=1e-8)
+            sigma = np.linalg.eigvalsh(laplacian(g))
+            lam, z = np.linalg.eigh(normalized_laplacian(g))
+            mu = np.linalg.eigvalsh(normalized_adjacency(g))[::-1]
+            assert abs(sigma[0]) <= 1e-8 * max(1.0, sigma[-1])
+            assert np.all(lam >= -1e-9) and np.all(lam <= 2 + 1e-9)
+            assert np.allclose(mu, 1.0 - lam, atol=1e-9)
+            assert np.allclose(z.T @ z, np.eye(g.n), atol=1e-8)
             # lowest normalized-Laplacian eigenvector on a connected graph
             from reswire.graph import degrees
 
             d = degrees(g).astype(float)
             expected = np.sqrt(d / d.sum())
-            z1 = s.z[:, 0]
+            z1 = z[:, 0]
             if z1[0] < 0:
                 z1 = -z1
             assert np.allclose(np.abs(z1), expected, atol=1e-8)
@@ -301,14 +300,15 @@ def shuffled_union(rng, sizes):
 
 
 def fresh_inverses(g):
-    """(vertex array, M) per component, each from `regularized_inverse` of
-    the component as a graph of its own."""
+    """(vertex array, M) per component, each from `regularized_inverse_dense`
+    of the Laplacian of the component as a graph of its own."""
     labels = np.array(g.component_id)
     out = []
     for c in range(g.num_components):
         verts = np.flatnonzero(labels == c)
         local = np.searchsorted(verts, [e for e in g.edges if labels[e[0]] == c])
-        out.append((verts, regularized_inverse(build_graph(len(verts), local.tolist()))))
+        sub = build_graph(len(verts), local.tolist())
+        out.append((verts, regularized_inverse_dense(laplacian(sub))))
     return out
 
 
@@ -449,12 +449,38 @@ class TestExtremeEigenvalues:
                 jacobian_bound_resistance(g, 0, 1, BoundParams(r=2))
 
 
+@settings(max_examples=80, deadline=None)
+@given(extreme_eigenvalue_graphs())
+def test_resistance_matches_networkx(g):
+    """networkx, through its own Laplacian pseudoinverse, as an independent
+    oracle for R and R_tot. It reads R_tot as infinite across components,
+    so each component's own graph is compared on its own.
+
+    On a complete graph R is exactly 2/n, and that is the reference:
+    `nx.resistance_distance` reads K_12 and K_29 up to 8e-3 off (its
+    `np.linalg.pinv` keeps the null eigenvalue of L), where the flow route
+    and networkx's own R_tot agree with ours to 2e-15."""
+    expected_total = 0.0
+    for verts, sub in components(g):
+        h = nx.Graph(sub.edges)
+        h.add_nodes_from(range(sub.n))
+        expected_total += nx.effective_graph_resistance(h)
+        complete = 2 * sub.m == sub.n * (sub.n - 1)
+        for lu, lv in {(0, sub.n - 1), (0, sub.n // 2), (sub.n // 3, sub.n - 1)}:
+            if lu != lv:
+                got = effective_resistance(g, int(verts[lu]), int(verts[lv]))
+                expected = 2 / sub.n if complete else nx.resistance_distance(h, lu, lv)
+                assert got == pytest.approx(expected, rel=1e-9, abs=0)
+    assert total_resistance(g) == pytest.approx(expected_total, rel=1e-9, abs=0)
+
+
 def test_singletons_are_not_inverted(monkeypatch):
     """Many isolated vertices: one inverse per component of two or more
-    vertices, and the same (vertex array, M) pairs as inverting each."""
+    vertices, and the same (vertex array, own graph, M) triples as
+    splitting the graph and inverting each component."""
     rng = random.Random(8)
     g = shuffled_union(rng, [1, 7, 1, 1, 12, 1, 2, 1])
-    expected = [(verts, regularized_inverse_dense(laplacian(sub)))
+    expected = [(verts, sub, regularized_inverse_dense(laplacian(sub)))
                 for verts, sub in components(g)]
     calls = []
 
@@ -466,5 +492,6 @@ def test_singletons_are_not_inverted(monkeypatch):
     got = sp.component_inverses(g)
     assert sorted(calls) == [2, 7, 12]
     assert len(got) == len(expected)
-    for (v1, m1), (v2, m2) in zip(got, expected):
+    for (v1, s1, m1), (v2, s2, m2) in zip(got, expected):
         assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
+        assert (s1.n, s1.edges) == (s2.n, s2.edges)

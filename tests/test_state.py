@@ -12,6 +12,7 @@ from reswire import (
     same_component_non_edges,
     total_resistance,
 )
+from reswire import graph as gr
 from reswire.spectral import _rcond_lower_bound
 from reswire.verify import (
     complete_graph,
@@ -41,6 +42,20 @@ class TestInit:
             s = ResistanceState(g)
             for c in s.comps:
                 assert np.allclose(c.n2, c.m @ c.m, atol=1e-10)
+
+    def test_one_graph_split(self, monkeypatch):
+        # components, their own graphs and their M come from one split
+        calls, split = [], gr.components
+
+        def counted(g):
+            calls.append(g.n)
+            return split(g)
+
+        monkeypatch.setattr(gr, "components", counted)
+        g = build_graph(9, [(0, 4), (4, 7), (1, 2), (2, 5), (5, 1), (3, 8)])
+        s = ResistanceState(g)
+        assert calls == [9]
+        assert [c.verts.tolist() for c in s.comps] == [[0, 4, 7], [1, 2, 5], [3, 8], [6]]
 
 
 class TestPairScores:
