@@ -81,9 +81,23 @@ def adjacency_power_sum(g: gr.Graph, u: int, v: int, r: int) -> float:
     return float(total)
 
 
+def _scaled(p: BoundParams, bound) -> float:
+    """bound(s) for the scale s = (2 alpha beta)^r, called only once s fits
+    a float. ValueError naming the overflow when s or the bound does not."""
+    try:
+        scale = (2.0 * p.alpha * p.beta) ** p.r
+    except OverflowError:
+        scale = math.inf
+    out = bound(scale) if scale < math.inf else scale
+    if not math.isfinite(out):
+        raise ValueError(f"bound overflows a float: (2 alpha beta)^r with alpha={p.alpha}, "
+                         f"beta={p.beta}, r={p.r}")
+    return out
+
+
 def jacobian_bound_adjacency(g: gr.Graph, u: int, v: int, p: BoundParams) -> float:
     """(2 alpha beta)^r * sum_{l<=r} (Ahat^l)_{uv}."""
-    return (2.0 * p.alpha * p.beta) ** p.r * adjacency_power_sum(g, u, v, p.r)
+    return _scaled(p, lambda s: s * adjacency_power_sum(g, u, v, p.r))
 
 
 def _resistance_form(g: gr.Graph, p: BoundParams, lead: float, quantity,
@@ -100,9 +114,8 @@ def _resistance_form(g: gr.Graph, p: BoundParams, lead: float, quantity,
     d = gr.degrees(g) if pair is None else gr.degrees(g)[list(pair)]
     d_min = p.d_min if p.d_min is not None else int(d.min())
     d_max = p.d_max if p.d_max is not None else int(d.max())
-    q = quantity()
     tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
-    return (2.0 * p.alpha * p.beta) ** p.r * (d_max / 2.0) * (lead / d_min * tail - q)
+    return _scaled(p, lambda s: s * (d_max / 2.0) * (lead / d_min * tail - quantity()))
 
 
 def jacobian_bound_resistance(g: gr.Graph, u: int, v: int, p: BoundParams) -> float:

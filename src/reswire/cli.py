@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -169,6 +170,18 @@ def _count(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float of at least 0, else exit code 2 (every
+    check against NaN fails, and a negative tolerance fails a correct run)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 def _gather_inputs(args):
     if getattr(args, "input_dir", None):
         files = sorted(Path(args.input_dir).glob("*.el"))
@@ -285,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=_count(1), default=None)
     # theorem-delta draws sizes from randint(4, n)
     p_verify.add_argument("--n", type=_count(4), default=None, dest="n")
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

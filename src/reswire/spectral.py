@@ -113,11 +113,13 @@ def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
 
 
 def total_resistance(g: gr.Graph) -> float:
-    """Sum of pairwise resistances within each component."""
+    """Sum of pairwise resistances within each component; a one-vertex
+    component adds exactly 0 and is skipped."""
     total = 0.0
     for verts, m in _inverses(g):
         nc = len(verts)
-        total += nc * float(np.trace(m)) - nc
+        if nc > 1:
+            total += nc * float(np.trace(m)) - nc
     return total
 
 

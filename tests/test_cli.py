@@ -160,6 +160,18 @@ class TestBounds:
         assert captured.out == ""
         assert re.fullmatch(r"error: [^\n]+\n", captured.err)
 
+    @pytest.mark.parametrize("option", [
+        ("--alpha", "1e300", "--r", "2"), ("--r", "5000"),
+        ("--alpha", "5e153", "--r", "2"),  # the power fits, the bound does not
+    ])
+    def test_overflow_exit_2(self, tmp_path, capsys, option):
+        path = tmp_path / "c5chord.el"
+        path.write_text(C5_CHORD)
+        assert main(["bounds", "--input", str(path), "--pair", "0", "2", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: bound overflows a float[^\n]*\n", captured.err)
+
     def test_r0_pair_adjacency_zero(self, tmp_path, capsys):
         path = tmp_path / "k3.el"
         path.write_text(TRIANGLE)
@@ -299,6 +311,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert args[-2] in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "x"])
+    def test_bad_tolerance_exit_2(self, capsys, tolerance):
+        # every check against NaN fails and a negative tolerance fails a
+        # correct run: a usage error, not a failed suite (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "p5-counterexample", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tolerance" in captured.err
 
     def test_smallest_sizes_run(self, capsys):
         for suite in ("theorem-delta", "series", "trace-identity"):

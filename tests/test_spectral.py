@@ -214,6 +214,8 @@ class TestTotalResistance:
     def test_isolated_vertices_contribute_nothing(self):
         g = build_graph(4, [(0, 1)])
         assert total_resistance(g) == pytest.approx(1)
+        # an edgeless graph still gives a float, printed 0.0 by `stats`
+        assert repr(total_resistance(build_graph(3, []))) == "0.0"
 
 
 class TestSeries:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -250,6 +251,59 @@ class TestKernel:
             est = _rcond_lower_bound(a, np.linalg.inv(a))
             assert est <= exact * (1 + 1e-12)
             assert exact <= factor * est * (1 + 1e-12)
+
+
+def _random_insertions(s, rng, count):
+    """Score and add `count` uniform random candidates, as the random
+    baseline does."""
+    candidates = same_component_non_edges(s.current_graph())
+    for _ in range(count):
+        u, v = candidates.pop(rng.randrange(len(candidates)))
+        s.pair_scores(u, v)
+        s.apply_edge(u, v)
+
+
+class TestDelayed:
+    """Before N is built, insertions wait as rows of a pending factor and
+    go into M together: when M is read, and when their count reaches the
+    component size."""
+
+    @pytest.mark.parametrize("sizes, count", [([12], 40), ([11, 12, 13], 100)])
+    def test_insertions_past_flush_match_scratch(self, sizes, count):
+        rng = random.Random(37)
+        s = ResistanceState(_union(rng, sizes))
+        _random_insertions(s, rng, count)
+        per_comp = Counter(s.original.component_id[u] for u, _ in s.added_edges)
+        fresh = ResistanceState(s.current_graph())
+        for label, (c, f) in enumerate(zip(s.comps, fresh.comps)):
+            # each component went through a flush, and none built N
+            assert per_comp[label] >= c.size and c._n2 is None
+            assert np.max(np.abs(c.m - f.m)) <= 1e-8
+            assert np.max(np.abs(c.n2 - f.n2)) <= 1e-7
+        assert abs(s.rtot - fresh.rtot) / fresh.rtot <= 1e-6
+
+    def test_pair_scores_and_apply_edge_never_build_n(self):
+        rng = random.Random(41)
+        s = ResistanceState(_union(rng, [9, 14]))
+        _random_insertions(s, rng, 30)
+        # the delayed scores match M and N of a state built from scratch
+        for u, v, *scores in ResistanceState(s.current_graph()).all_pair_scores():
+            assert s.pair_scores(u, v) == pytest.approx(tuple(scores), rel=1e-9)
+        assert all(c._n2 is None for c in s.comps)
+
+    def test_best_candidate_after_delayed_insertions(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            g = _union(rng, [rng.randint(2, 12) for _ in range(rng.randint(1, 3))])
+            s = ResistanceState(g)
+            _random_insertions(s, rng, rng.randrange(len(same_component_non_edges(g)) + 1))
+            assert all(c._n2 is None for c in s.comps)
+            for _ in range(2):  # the first scan applies the pending rows and builds N
+                best = s.best_candidate()
+                assert best == _reference_best(s)
+                if best is None:
+                    break
+                s.apply_edge(*best[:2])
 
 
 class TestMemory:
