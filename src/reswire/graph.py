@@ -206,6 +206,9 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     return ahat
 
 
+_SINGLETON = Graph(n=1, edges=(), component_id=(0,))  # shared by every isolated vertex
+
+
 def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """(sorted vertex array, own Graph on local labels 0..n_c-1) of each
     connected component, ordered by label, from one O(n + m) pass."""
@@ -223,8 +226,9 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     for v_lo, v_hi, e_lo, e_hi in zip([0] + v_end, v_end, [0] + e_end, e_end):
         # No build_graph: relabelling a validated graph's sorted edges by a
         # monotone map keeps them canonical, and a component is connected.
-        sub = Graph(n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
-                    component_id=(0,) * (v_hi - v_lo))
+        sub = _SINGLETON if v_hi - v_lo == 1 else Graph(
+            n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
+            component_id=(0,) * (v_hi - v_lo))
         out.append((order[v_lo:v_hi], sub))
     return out
 

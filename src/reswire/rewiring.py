@@ -48,9 +48,10 @@ class RewirePlan:
 def same_component_non_edges(g: gr.Graph) -> list[tuple[int, int]]:
     existing = g.edge_set()
     out = []
-    for verts, _ in gr.components(g):
-        out += (p for p in itertools.combinations(verts.tolist(), 2)
-                if p not in existing)
+    for verts, sub in gr.components(g):
+        if sub.n > 1:
+            out += (p for p in itertools.combinations(verts.tolist(), 2)
+                    if p not in existing)
     out.sort()
     return out
 

@@ -8,8 +8,14 @@ component,
     B^2_{u,v} = ||M (1_u - 1_v)||^2
     R_tot     = n * tr(M) - n
 
-The independent routes to the same quantities (pseudoinverses, minimum-norm
-flows, the power series) live in `verify`.
+M itself is formed without an LU solve: L + 11^T/n is symmetric positive
+definite on a connected component, so `regularized_inverse_dense` factors it
+as C C^T in the Laplacian's own storage (blocked Cholesky), inverts C there
+(block recursion), and writes M = C^{-T} C^{-1} into a new array by syrk,
+which makes M exactly symmetric. The set-up then holds about 2 n^2 doubles
+(the Laplacian and M) where an LU inverse needs 4 n^2. The independent
+routes to the same quantities (pseudoinverses, minimum-norm flows, the power
+series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
@@ -39,6 +45,7 @@ from .errors import DisconnectedGraphError, IllConditionedError
 RCOND_LIMIT = 1e-12
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
 CHOLESKY_ROWS = 128  # 70 ms against 85 ms at 64 rows, n=1600
+TRIANGLE_LEAF = 32  # rows at which `_invert_lower` stops recursing
 LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
 LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
 LANCZOS_MAX_STEPS = 256  # sigma_2 and mu take 40 and 150 at n=1600, degree 6; mu 176 at n=3200
@@ -48,33 +55,94 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component,
-    returned in `lap`'s storage. IllConditionedError if M is not finite or
-    the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
+    in a new array; `lap`'s storage is overwritten on the way.
+
+    A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
+    potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
+    C C^T in place (`_cholesky_lower`), C^{-1} in place (`_invert_lower`),
+    then M = C^{-T} C^{-1} as `lap.T @ lap`, which numpy computes by syrk,
+    so M is exactly symmetric. Beside `lap` and M the route holds at most
+    one (n/2)^2 temporary. IllConditionedError if a pivot is not positive,
+    or if M is not finite or the rcond lower bound 1/(||A||_inf ||M||_inf)
+    is below RCOND_LIMIT."""
     lap += 1.0 / lap.shape[0]
+    norm_a = _inf_norm(lap)  # before the factor overwrites A
     try:
-        m = np.linalg.inv(lap)
+        _cholesky_lower(lap)
     except np.linalg.LinAlgError:
-        raise IllConditionedError("regularized Laplacian is singular") from None
-    rcond = _rcond_lower_bound(lap, m)
+        raise IllConditionedError("regularized Laplacian is not positive definite") from None
+    _invert_lower(lap)
+    m = lap.T @ lap
+    rcond = 1.0 / (norm_a * _inf_norm(m))
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
             f"reciprocal condition estimate {rcond:.3e} below {RCOND_LIMIT:.0e}"
         )
-    return np.multiply(np.add(m, m.T, out=lap), 0.5, out=lap)
+    return m
 
 
-def _rcond_lower_bound(a: np.ndarray, m: np.ndarray) -> float:
-    """1/(||A||_inf ||M||_inf) for M = A^{-1}; NaN or 0 if M is not finite."""
-    return 1.0 / np.prod([max(float(np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max())
-                              for i in range(0, len(x), BLOCK_ROWS)) for x in (a, m)])
+def _inf_norm(x: np.ndarray) -> float:
+    """||x||_inf (largest absolute row sum), block of rows by block of rows;
+    NaN or inf if x is not finite."""
+    return max(float(np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max())
+               for i in range(0, len(x), BLOCK_ROWS))
+
+
+def _cholesky_lower(a: np.ndarray) -> None:
+    """A = C C^T in place: the lower triangle of `a` (the only part read)
+    becomes C, the part above it zero. Right-looking, CHOLESKY_ROWS rows
+    per block: np.linalg.cholesky factors the diagonal block, the panel
+    below it is multiplied by that factor's inverse transpose, and the
+    trailing lower triangle is updated block column by block column.
+    LinAlgError when a pivot is not positive."""
+    n = len(a)
+    for k0 in range(0, n, CHOLESKY_ROWS):
+        k1 = min(k0 + CHOLESKY_ROWS, n)
+        d = np.linalg.cholesky(a[k0:k1, k0:k1])
+        a[k0:k1, k0:k1] = d
+        a[k0:k1, k1:] = 0.0
+        if k1 == n:
+            return
+        _invert_lower(d)
+        panel = a[k1:, k0:k1]
+        panel[...] = panel @ d.T
+        for j0 in range(k1, n, CHOLESKY_ROWS):
+            j1 = min(j0 + CHOLESKY_ROWS, n)
+            a[j0:, j0:j1] -= panel[j0 - k1:] @ panel[j0 - k1:j1 - k1].T
+
+
+def _invert_lower(c: np.ndarray) -> None:
+    """C <- C^{-1} in place for a lower-triangular C with a positive
+    diagonal and zeros above it. 2 x 2 block recursion: invert both
+    diagonal halves, then C21 <- -C22^{-1} C21 C11^{-1} through one
+    (n/2)^2 temporary; np.linalg.inv from TRIANGLE_LEAF rows down."""
+    n = len(c)
+    if n <= TRIANGLE_LEAF:
+        # LU keeps the zeros above the diagonal unless it pivots (none of
+        # 1328 leaves did on random graphs, trees, paths, cycles and
+        # cliques); a pivot would leave entries there of the size of the
+        # inverse's own roundoff
+        c[...] = np.linalg.inv(c)
+        return
+    h = n // 2
+    c11, c21, c22 = c[:h, :h], c[h:, :h], c[h:, h:]
+    _invert_lower(c11)
+    _invert_lower(c22)
+    np.matmul(c22 @ c21, c11, out=c21)
+    np.negative(c21, out=c21)
+
+
+_SINGLETON_M = np.ones((1, 1))
+_SINGLETON_M.flags.writeable = False
 
 
 def component_inverses(g: gr.Graph):
     """Per-component (vertex array, own graph, M) triples from one split
     of `g`, ordered by component label, each M from the Laplacian of that
     component's own graph. A one-vertex component has L + 11^T/n = [[1]],
-    so its M = [[1.0]] is not inverted."""
-    return [(verts, sub, np.ones((1, 1)) if sub.n == 1
+    so its M = [[1.0]] is not inverted: every one-vertex component shares
+    one read-only array."""
+    return [(verts, sub, _SINGLETON_M if sub.n == 1
              else regularized_inverse_dense(gr.laplacian(sub)))
             for verts, sub in gr.components(g)]
 

@@ -59,7 +59,7 @@ class _Component:
         if self._n2 is None:
             m = self.m
             self._v = None  # from here on insertions update M and N at once
-            self._n2 = m @ m
+            self._n2 = m.T @ m  # syrk: N exactly symmetric
         return self._n2
 
     def _flush(self) -> None:
@@ -165,9 +165,11 @@ class ResistanceState:
 
     def __init__(self, g: gr.Graph):
         self.original = g
-        self.comps = [_Component(verts, sub, m)
-                      for verts, sub, m in sp.component_inverses(g)]
-        self.rtot = sum(c.rtot() for c in self.comps)
+        # No candidate lies in a one-vertex component, and it adds 0 to R_tot.
+        self._by_label = {label: _Component(verts, sub, m) for label, (verts, sub, m)
+                          in enumerate(sp.component_inverses(g)) if sub.n > 1}
+        self.comps = list(self._by_label.values())
+        self.rtot = sum((c.rtot() for c in self.comps), 0.0)
         self.added_edges: list[tuple[int, int]] = []
 
     def current_graph(self) -> gr.Graph:
@@ -176,7 +178,7 @@ class ResistanceState:
     def _locate(self, u: int, v: int):
         if u == v:
             raise ValueError(f"pair requires distinct vertices, got ({u}, {v})")
-        c = self.comps[gr._component_label(self.original, u, v)]
+        c = self._by_label[gr._component_label(self.original, u, v)]
         a, b = sorted(c.verts.searchsorted((u, v)).tolist())
         if not c.cand[a, b]:
             raise ValueError(f"edge ({u}, {v}) already present")

@@ -102,6 +102,42 @@ class TestRegularizedInverse:
             lp = pseudo_inverse(laplacian(g))
             assert np.allclose(m - np.ones((g.n, g.n)) / g.n, lp, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 127, 128, 129, 257, 300])
+    def test_block_boundaries(self, n):
+        """Sizes on both sides of the triangular inverse's leaf (32 rows)
+        and of the Cholesky blocks (128 rows): M is exactly symmetric,
+        inverts A and matches LU's inverse. Both routes are backward
+        stable, so they differ by up to about cond(A) u; cond(A) stays
+        below 100 on the random and complete graphs, but reaches 3.6e4 on
+        the path at n=300 (4 n^2 / pi^2), where the two read 8.9e-13 apart."""
+        rng = random.Random(n)
+        for g in (random_connected_graph(rng, n, 0.05), path_graph(n), complete_graph(n)):
+            a = laplacian(g) + 1.0 / n
+            m = regularized_inverse_dense(laplacian(g))
+            assert np.array_equal(m, m.T)
+            assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-8
+            w = np.linalg.eigvalsh(a)
+            tol = max(1e-12, 10 * sp.UNIT_ROUNDOFF * w[-1] / w[0])
+            ref = np.linalg.inv(a)
+            assert np.max(np.abs(m - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("row, blocks", [(10, [128]), (150, [128, 72])])
+    def test_failed_pivot_raises(self, monkeypatch, row, blocks):
+        """A pivot that is not positive, in the first diagonal block or in
+        a later one, is an IllConditionedError, not a LinAlgError."""
+        lap = laplacian(random_connected_graph(random.Random(5), 200, 0.05))
+        lap[row, row] = -1.0  # A is no longer positive definite
+        factored, cholesky = [], np.linalg.cholesky
+
+        def counted(a):
+            factored.append(len(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        with pytest.raises(IllConditionedError):
+            regularized_inverse_dense(lap)
+        assert factored == blocks
+
 
 class TestEffectiveResistance:
     def test_path_endpoints_equal_length(self):
@@ -359,12 +395,12 @@ class TestDenseMemo:
         g = cycle_graph(5)
         calls = []
 
-        def singular(a):
+        def not_positive_definite(a):
             calls.append(a.shape)
-            raise np.linalg.LinAlgError("singular matrix")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "inv", singular)
+            patch.setattr(np.linalg, "cholesky", not_positive_definite)
             for _ in range(2):
                 with pytest.raises(IllConditionedError):
                     total_resistance(g)

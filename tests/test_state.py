@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +15,12 @@ from reswire import (
     ResistanceState,
     build_graph,
     laplacian,
+    rewire,
     same_component_non_edges,
     total_resistance,
 )
 from reswire import graph as gr
-from reswire.spectral import _rcond_lower_bound
+from reswire.spectral import _inf_norm
 from reswire.verify import (
     complete_graph,
     cycle_graph,
@@ -24,6 +30,8 @@ from reswire.verify import (
 )
 
 from conftest import random_graphs
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestInit:
@@ -56,7 +64,28 @@ class TestInit:
         g = build_graph(9, [(0, 4), (4, 7), (1, 2), (2, 5), (5, 1), (3, 8)])
         s = ResistanceState(g)
         assert calls == [9]
-        assert [c.verts.tolist() for c in s.comps] == [[0, 4, 7], [1, 2, 5], [3, 8], [6]]
+        # the one-vertex component {6} gets no _Component: it has no candidate
+        assert [c.verts.tolist() for c in s.comps] == [[0, 4, 7], [1, 2, 5], [3, 8]]
+
+    def test_many_singletons(self):
+        """Isolated vertices change no score, pick or plan: the same graph
+        without them, relabelled in order, gives the same results."""
+        rng = random.Random(47)
+        g = _union(rng, [1] * 40 + [9, 1, 14, 1, 2])
+        keep = sorted({x for e in g.edges for x in e})
+        small = build_graph(len(keep), [tuple(keep.index(x) for x in e) for e in g.edges])
+        s, ref = ResistanceState(g), ResistanceState(small)
+        assert [c.size for c in s.comps] == [c.size for c in ref.comps]
+        assert s.rtot == ref.rtot
+        u, v, *scores = s.best_candidate()
+        ru, rv, *ref_scores = ref.best_candidate()
+        assert (u, v, scores) == (keep[ru], keep[rv], ref_scores)
+        for method in ("gtr", "random"):
+            plan, ref_plan = rewire(g, 12, method, seed=3), rewire(small, 12, method, seed=3)
+            assert plan.rtot_trajectory == ref_plan.rtot_trajectory
+            assert plan.edge_list() == [(keep[a], keep[b]) for a, b in ref_plan.edge_list()]
+        with pytest.raises(CrossComponentError):
+            s.pair_scores(u, next(x for x in range(g.n) if x not in keep))
 
 
 class TestPairScores:
@@ -231,6 +260,15 @@ class TestKernel:
         assert np.max(np.abs(s.comps[0].m - fresh.comps[0].m)) <= 1e-12
         assert np.max(np.abs(s.comps[0].n2 - fresh.comps[0].n2)) <= 1e-12
 
+    def test_n_exactly_symmetric_after_first_scan(self):
+        # N = M^T M by syrk, so the first scan reads an exactly symmetric N
+        rng = random.Random(53)
+        for g in (random_connected_graph(rng, 150, 0.05), path_graph(129), complete_graph(40)):
+            s = ResistanceState(g)
+            s.best_candidate()
+            n2 = s.comps[0].n2
+            assert np.array_equal(n2, n2.T)
+
     def test_rcond_bound_below_eigvalsh(self):
         rng = random.Random(29)
         paths = [path_graph(n) for n in (2, 3, 10, 50, 200)]
@@ -248,7 +286,7 @@ class TestKernel:
             a = laplacian(g) + 1.0 / g.n
             w = np.linalg.eigvalsh(a)
             exact = w[0] / w[-1]
-            est = _rcond_lower_bound(a, np.linalg.inv(a))
+            est = 1.0 / (_inf_norm(a) * _inf_norm(np.linalg.inv(a)))
             assert est <= exact * (1 + 1e-12)
             assert exact <= factor * est * (1 + 1e-12)
 
@@ -326,3 +364,29 @@ class TestMemory:
             tracemalloc.stop()
         assert init_peak <= limit
         assert step_peak <= limit
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_setup_rss_in_child(self):
+        """Peak resident-set growth of the set-up at n=1200, read in a child
+        process: LAPACK's work arrays are invisible to tracemalloc. The
+        set-up holds the Laplacian, M and one (n/2)^2 temporary; an LU
+        inverse (np.linalg.inv) needs 4 n^2. The child reads VmHWM, its own
+        peak since exec; ru_maxrss would start at the peak of the test
+        process it was forked from. A first, small set-up warms up BLAS
+        and LAPACK, whose own buffers are not the set-up's."""
+        n = 1200
+        code = textwrap.dedent(f"""
+            import random
+            from reswire import spectral, verify
+            def peak_kb():
+                with open("/proc/self/status") as f:
+                    return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
+            spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
+            g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
+            before = peak_kb()
+            spectral.component_inverses(g)
+            print(peak_kb() - before)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert int(out.stdout) * 1024 <= 3 * 8 * n ** 2
