@@ -45,13 +45,16 @@ class RewirePlan:
         return [(e.u, e.v) for e in self.added]
 
 
-def same_component_non_edges(g: gr.Graph) -> list[tuple[int, int]]:
+def same_component_non_edges(g: gr.Graph, *, vertex_arrays=None) -> list[tuple[int, int]]:
+    """Sorted (u, v), u < v, in one component and not an edge of `g`, from
+    `g`'s component `vertex_arrays` if given, else from `graph.components`."""
+    if vertex_arrays is None:
+        vertex_arrays = (verts for verts, sub in gr.components(g) if sub.n > 1)
     existing = g.edge_set()
     out = []
-    for verts, sub in gr.components(g):
-        if sub.n > 1:
-            out += (p for p in itertools.combinations(verts.tolist(), 2)
-                    if p not in existing)
+    for verts in vertex_arrays:
+        out += (p for p in itertools.combinations(verts.tolist(), 2)
+                if p not in existing)
     out.sort()
     return out
 
@@ -92,7 +95,7 @@ def random_baseline(g: gr.Graph, k: int, seed: int) -> RewirePlan:
     added: list[AddedEdge] = []
     trajectory = [state.rtot]
     truncated = False
-    candidates = same_component_non_edges(g)
+    candidates = same_component_non_edges(g, vertex_arrays=[c.verts for c in state.comps])
     for _ in range(k):
         if not candidates:
             warnings.warn(

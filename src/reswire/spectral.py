@@ -10,10 +10,10 @@ component,
 
 M itself is formed without an LU solve: L + 11^T/n is symmetric positive
 definite on a connected component, so `regularized_inverse_dense` factors it
-as C C^T in the Laplacian's own storage (blocked Cholesky), inverts C there
-(block recursion), and writes M = C^{-T} C^{-1} into a new array by syrk,
-which makes M exactly symmetric. The set-up then holds about 2 n^2 doubles
-(the Laplacian and M) where an LU inverse needs 4 n^2. The independent
+as C C^T and inverts C in the Laplacian's own storage (one recursive pass),
+then forms M = C^{-T} C^{-1} there too (recursive lauum), exactly
+symmetric. The set-up then holds the Laplacian's n^2 doubles plus one
+ceil(n/2)^2 workspace, where an LU inverse needs 4 n^2. The independent
 routes to the same quantities (pseudoinverses, minimum-norm flows, the power
 series) live in `verify`.
 
@@ -44,7 +44,7 @@ from .errors import DisconnectedGraphError, IllConditionedError
 
 RCOND_LIMIT = 1e-12
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
-CHOLESKY_ROWS = 128  # 70 ms against 85 ms at 64 rows, n=1600
+CHOLESKY_ROWS = 128  # leaf rows of the set-up's recursions and the certificate's blocks
 TRIANGLE_LEAF = 32  # rows at which `_invert_lower` stops recursing
 LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
 LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
@@ -55,30 +55,31 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component,
-    in a new array; `lap`'s storage is overwritten on the way.
+    formed in `lap`'s own storage and returned as `lap`.
 
     A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
     potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
-    C C^T in place (`_cholesky_lower`), C^{-1} in place (`_invert_lower`),
-    then M = C^{-T} C^{-1} as `lap.T @ lap`, which numpy computes by syrk,
-    so M is exactly symmetric. Beside `lap` and M the route holds at most
-    one (n/2)^2 temporary. IllConditionedError if a pivot is not positive,
-    or if M is not finite or the rcond lower bound 1/(||A||_inf ||M||_inf)
-    is below RCOND_LIMIT."""
-    lap += 1.0 / lap.shape[0]
+    C C^T and C^{-1} in place (`_factor_inverse`), then M = C^{-T} C^{-1}
+    in place (`_lauum`), exactly symmetric. Beside `lap` the route holds
+    one workspace of ceil(n/2)^2 doubles, none when n <= CHOLESKY_ROWS.
+    IllConditionedError if a pivot is not positive, or if M is not finite
+    or the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
+    n = len(lap)
+    lap += 1.0 / n
     norm_a = _inf_norm(lap)  # before the factor overwrites A
+    work = np.empty(((n + 1) // 2) ** 2) if n > CHOLESKY_ROWS else None
     try:
-        _cholesky_lower(lap)
+        _factor_inverse(lap, work)
     except np.linalg.LinAlgError:
         raise IllConditionedError("regularized Laplacian is not positive definite") from None
-    _invert_lower(lap)
-    m = lap.T @ lap
-    rcond = 1.0 / (norm_a * _inf_norm(m))
+    _lauum(lap, work)
+    del work  # not kept alive by the traceback of an rcond error
+    rcond = 1.0 / (norm_a * _inf_norm(lap))
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
             f"reciprocal condition estimate {rcond:.3e} below {RCOND_LIMIT:.0e}"
         )
-    return m
+    return lap
 
 
 def _inf_norm(x: np.ndarray) -> float:
@@ -88,27 +89,50 @@ def _inf_norm(x: np.ndarray) -> float:
                for i in range(0, len(x), BLOCK_ROWS))
 
 
-def _cholesky_lower(a: np.ndarray) -> None:
-    """A = C C^T in place: the lower triangle of `a` (the only part read)
-    becomes C, the part above it zero. Right-looking, CHOLESKY_ROWS rows
-    per block: np.linalg.cholesky factors the diagonal block, the panel
-    below it is multiplied by that factor's inverse transpose, and the
-    trailing lower triangle is updated block column by block column.
-    LinAlgError when a pivot is not positive."""
+def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols view of the front of the flat workspace."""
+    return work[:rows * cols].reshape(rows, cols)
+
+
+def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
+    """A = C C^T, then C <- C^{-1}, in place: the lower triangle of `a` (the
+    only part read) becomes C^{-1}, zeros above it. 2 x 2 block recursion
+    (Gustavson, IBM J. Res. Dev. 41, 1997) split at multiples of
+    CHOLESKY_ROWS, whose diagonal blocks are the leaves (np.linalg.cholesky,
+    then `_invert_lower`): X11 = C11^{-1}, C21 = A21 X11^T, A22 -= C21 C21^T,
+    X22 = C22^{-1}, X21 = -X22 C21 X11. LinAlgError if a pivot is not positive."""
     n = len(a)
-    for k0 in range(0, n, CHOLESKY_ROWS):
-        k1 = min(k0 + CHOLESKY_ROWS, n)
-        d = np.linalg.cholesky(a[k0:k1, k0:k1])
-        a[k0:k1, k0:k1] = d
-        a[k0:k1, k1:] = 0.0
-        if k1 == n:
-            return
-        _invert_lower(d)
-        panel = a[k1:, k0:k1]
-        panel[...] = panel @ d.T
-        for j0 in range(k1, n, CHOLESKY_ROWS):
-            j1 = min(j0 + CHOLESKY_ROWS, n)
-            a[j0:, j0:j1] -= panel[j0 - k1:] @ panel[j0 - k1:j1 - k1].T
+    if n <= CHOLESKY_ROWS:
+        a[...] = np.linalg.cholesky(a)
+        _invert_lower(a)
+        return
+    h = CHOLESKY_ROWS * -(-n // (2 * CHOLESKY_ROWS))
+    a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
+    _factor_inverse(a11, work)
+    a21[...] = np.matmul(a21, a11.T, out=_work(work, n - h, h))
+    a22 -= np.matmul(a21, a21.T, out=_work(work, n - h, n - h))
+    _factor_inverse(a22, work)
+    np.matmul(np.matmul(a22, a21, out=_work(work, n - h, h)), a11, out=a21)
+    np.negative(a21, out=a21)
+    a[:h, h:] = 0.0
+
+
+def _lauum(x: np.ndarray, work: np.ndarray | None) -> None:
+    """X <- X^T X in place for a lower-triangular X with zeros above it
+    (LAPACK's lauum, recursive): one syrk up to CHOLESKY_ROWS rows, else
+    M11 = X11^T X11 + X21^T X21 (both syrk), M21 = X22^T X21 = M12^T, then
+    M22 = X22^T X22, so M is exactly symmetric."""
+    n = len(x)
+    if n <= CHOLESKY_ROWS:
+        x[...] = x.T @ x
+        return
+    h = n // 2
+    x11, x21, x22 = x[:h, :h], x[h:, :h], x[h:, h:]
+    _lauum(x11, work)
+    x11 += np.matmul(x21.T, x21, out=_work(work, h, h))
+    x21[...] = np.matmul(x22.T, x21, out=_work(work, n - h, h))
+    x[:h, h:] = x21.T
+    _lauum(x22, work)
 
 
 def _invert_lower(c: np.ndarray) -> None:

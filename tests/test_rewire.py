@@ -11,6 +11,7 @@ from reswire import (
     same_component_non_edges,
     total_resistance,
 )
+from reswire import graph as gr
 from reswire.verify import (
     brute_force_optimal,
     complete_graph,
@@ -186,3 +187,21 @@ class TestRandomBaseline:
         for seed in range(5):
             plan = random_baseline(p5, 1, seed=seed)
             assert plan.rtot_trajectory[1] >= best - 1e-9
+
+    def test_one_graph_split(self, monkeypatch):
+        """The candidates come from the state's component vertex arrays, so
+        the graph is split once; the plan is the one drawn from the sorted
+        `same_component_non_edges` list."""
+        g = build_graph(10, [(0, 4), (4, 7), (7, 9), (1, 2), (2, 5), (3, 8)])
+        rng, candidates = random.Random(4), same_component_non_edges(g)
+        expected = [candidates.pop(rng.randrange(len(candidates))) for _ in range(3)]
+        calls, split = [], gr.components
+
+        def counted(h):
+            calls.append(h.n)
+            return split(h)
+
+        monkeypatch.setattr(gr, "components", counted)
+        plan = random_baseline(g, 3, seed=4)
+        assert calls == [10]
+        assert plan.edge_list() == expected

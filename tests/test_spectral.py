@@ -138,6 +138,35 @@ class TestRegularizedInverse:
             regularized_inverse_dense(lap)
         assert factored == blocks
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 384, 385, 512, 513, 897])
+    def test_split_points(self, n):
+        """Sizes on both sides of the recursive splits of the factor (at
+        multiples of 128 rows) and of the in-place product (at n/2): the
+        same checks as `test_block_boundaries`."""
+        rng = random.Random(n)
+        for g in (random_connected_graph(rng, n, 0.05), path_graph(n), complete_graph(n)):
+            a = laplacian(g) + 1.0 / n
+            m = regularized_inverse_dense(laplacian(g))
+            assert np.array_equal(m, m.T)
+            assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-8
+            w = np.linalg.eigvalsh(a)
+            tol = max(1e-12, 10 * sp.UNIT_ROUNDOFF * w[-1] / w[0])
+            ref = np.linalg.inv(a)
+            assert np.max(np.abs(m - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 129, 300])
+    def test_m_in_laplacian_storage(self, n):
+        lap = laplacian(random_connected_graph(random.Random(n), n, 0.05))
+        assert regularized_inverse_dense(lap) is lap
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 100, 127, 128])
+    def test_small_component_calls(self, n):
+        """Up to 128 rows M is cholesky, `_invert_lower` and syrk, bit for bit."""
+        for g in (random_connected_graph(random.Random(n), n, 0.1), path_graph(n)):
+            x = np.linalg.cholesky(laplacian(g) + 1.0 / n)
+            sp._invert_lower(x)
+            assert np.array_equal(regularized_inverse_dense(laplacian(g)), x.T @ x)
+
 
 class TestEffectiveResistance:
     def test_path_endpoints_equal_length(self):

@@ -369,11 +369,12 @@ class TestMemory:
     def test_setup_rss_in_child(self):
         """Peak resident-set growth of the set-up at n=1200, read in a child
         process: LAPACK's work arrays are invisible to tracemalloc. The
-        set-up holds the Laplacian, M and one (n/2)^2 temporary; an LU
-        inverse (np.linalg.inv) needs 4 n^2. The child reads VmHWM, its own
-        peak since exec; ru_maxrss would start at the peak of the test
-        process it was forked from. A first, small set-up warms up BLAS
-        and LAPACK, whose own buffers are not the set-up's."""
+        set-up holds the Laplacian's array, where M is formed, and one
+        ceil(n/2)^2 workspace; an LU inverse (np.linalg.inv) needs 4 n^2.
+        The child reads VmHWM, its own peak since exec; ru_maxrss would
+        start at the peak of the test process it was forked from. A first,
+        small set-up warms up BLAS and LAPACK, whose own buffers are not
+        the set-up's."""
         n = 1200
         code = textwrap.dedent(f"""
             import random
@@ -390,3 +391,26 @@ class TestMemory:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert int(out.stdout) * 1024 <= 3 * 8 * n ** 2
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_setup_in_laplacian_storage_rss(self):
+        """Peak resident-set growth of the set-up at n=1200, read in a child
+        as in `test_setup_rss_in_child`: M is formed in the Laplacian's own
+        array beside one ceil(n/2)^2 workspace, so the growth stays below
+        2 n^2 doubles, where a second n x n array for M would exceed it."""
+        n = 1200
+        code = textwrap.dedent(f"""
+            import random
+            from reswire import spectral, verify
+            def peak_kb():
+                with open("/proc/self/status") as f:
+                    return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
+            spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
+            g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
+            before = peak_kb()
+            spectral.component_inverses(g)
+            print(peak_kb() - before)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert int(out.stdout) * 1024 <= 2 * 8 * n ** 2
