@@ -11,6 +11,8 @@ import random
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph as gr
 from .state import ResistanceState
 
@@ -45,18 +47,52 @@ class RewirePlan:
         return [(e.u, e.v) for e in self.added]
 
 
-def same_component_non_edges(g: gr.Graph, *, vertex_arrays=None) -> list[tuple[int, int]]:
-    """Sorted (u, v), u < v, in one component and not an edge of `g`, from
-    `g`'s component `vertex_arrays` if given, else from `graph.components`."""
-    if vertex_arrays is None:
-        vertex_arrays = (verts for verts, sub in gr.components(g) if sub.n > 1)
+def same_component_non_edges(g: gr.Graph, *, state: ResistanceState | None = None):
+    """Sorted (u, v), u < v, in one component and not an edge of `g`, as a
+    list; given `g`'s `state`, as a `_MaskedCandidates` over the pairs the
+    state has not added, read from its candidate masks."""
+    if state is not None:
+        return _MaskedCandidates(state)
     existing = g.edge_set()
     out = []
-    for verts in vertex_arrays:
-        out += (p for p in itertools.combinations(verts.tolist(), 2)
-                if p not in existing)
+    for verts, sub in gr.components(g):
+        if sub.n > 1:
+            out += (p for p in itertools.combinations(verts.tolist(), 2)
+                    if p not in existing)
     out.sort()
     return out
+
+
+class _MaskedCandidates:
+    """`len` and `pop(i)` of the sorted list of the pairs a state has not
+    added, without the list: the i-th pair is found from per-vertex counts
+    of the remaining candidates (their prefix sum gives u) and u's row of
+    its component's mask (its nonzeros give v). `pop` only counts the pair
+    as taken; the caller adds it by `apply_edge`, which clears its mask
+    entry, before the next `pop`."""
+
+    def __init__(self, state: ResistanceState):
+        n = state.original.n
+        self._comps = state.comps
+        self._owner = np.zeros(n, dtype=np.int64)
+        self._local = np.zeros(n, dtype=np.int64)
+        self._counts = np.zeros(n, dtype=np.int64)
+        for i, c in enumerate(state.comps):
+            self._owner[c.verts], self._local[c.verts] = i, np.arange(c.size)
+            self._counts[c.verts] = c.cand.sum(axis=1)
+        self._len = int(self._counts.sum())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def pop(self, i: int) -> tuple[int, int]:
+        ends = np.cumsum(self._counts)
+        u = int(np.searchsorted(ends, i, side="right"))
+        c = self._comps[self._owner[u]]
+        b = np.flatnonzero(c.cand[self._local[u]])[i - int(ends[u]) + int(self._counts[u])]
+        self._counts[u] -= 1
+        self._len -= 1
+        return u, int(c.verts[b])
 
 
 def gtr(g: gr.Graph, k: int) -> RewirePlan:
@@ -95,7 +131,7 @@ def random_baseline(g: gr.Graph, k: int, seed: int) -> RewirePlan:
     added: list[AddedEdge] = []
     trajectory = [state.rtot]
     truncated = False
-    candidates = same_component_non_edges(g, vertex_arrays=[c.verts for c in state.comps])
+    candidates = same_component_non_edges(g, state=state)
     for _ in range(k):
         if not candidates:
             warnings.warn(

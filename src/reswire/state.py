@@ -4,7 +4,8 @@ O(n^2) in-place scans and insertions, block of rows by block of rows. The
 scan scores the upper triangle under a persistent candidate mask; N is read
 on and above its diagonal only, so roundoff asymmetry in N never matters.
 Adding {u, v} takes the column difference w = M[:, u] - M[:, v], R = w_u -
-w_v, B^2 = w^T w, c = 1/(1 + R) and one product Mw, all from the pre-update M:
+w_v, B^2 = w^T w, c = 1/(1 + R) and Mw = N (e_u - e_v), all from the
+pre-update M and N:
 
     M' = M - c w w^T
     N' = M'^2 = N + U S U^T,  U = [w, Mw],  S = [[c^2 B^2, -c], [-c, 0]]
@@ -23,6 +24,47 @@ M -= V^T V, in row blocks, whenever dense M is read and when p reaches
 n_c, where V fills the n_c^2 doubles that N would take. Building N
 applies them first; after that every insertion updates M and N at once.
 
+Layout. Rows are cut into diagonal blocks of at most CHOLESKY_ROWS (128)
+rows on a grid that is symmetric under i -> n-1-i: multiples of 128 from
+each end, and the middle rest split at n/2 when it exceeds 128 rows. A
+component of at most 128 vertices is one block: it keeps M in the
+Laplacian's array and N = M^T M (syrk) beside it. A larger component keeps
+both matrices in the one n_c^2 array P that the set-up returned
+(symmetric packed storage in the spirit of LAPACK's RFP format: Gustavson,
+Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010). With [lo(i), hi(i))
+the block of row i:
+
+    M_ij = P[i, j]              for j >= lo(i)  (diagonal blocks, full, and
+                                                 the block upper triangle)
+    N_ij = P[n-1-i, j - hi(i)]  for j >= hi(i)  (the block lower triangle)
+
+and N's diagonal blocks sit in one flat array of sum h_k^2 <= 128 n_c
+doubles. The symmetric grid gives row n-1-i exactly lo(n-1-i) = n - hi(i)
+free places left of its block, so row i of N right of its block is stored
+from the left of P's row n-1-i, and N never touches a diagonal block of
+M. A scan chunk of rows [r0, r1) in block [lo, hi) reads M from P[r0:r1,
+r0:] and N from P[::-1][r0:r1, :n-hi], rows backward but each row forward
+in memory (a 180-degree rotation would read each row backward, ~1.4x
+slower). N is built in place, bottom-up, 64 rows at a time: rows [r0, r1)
+of N are P[r0:r1] @ P[:r1].T while the rows of P above r0 still hold M;
+the part in the diagonal block goes to its array and the part left of it
+into P[r0:r1, :lo]. P's strict lower triangle is then anti-transposed in
+place (`_anti_transpose_lower`), each row's part left of its block
+reversed, and M's diagonal blocks mirrored back from their upper
+triangles. The build holds 64 rows as workspace. An insertion then
+writes M's rank-1 term right of each row's block start and N's rank-2
+term, with the rows of its factor reversed, left of it; Mw is a
+difference of two columns of N, gathered from the pieces in O(n_c).
+
+Tie band. `best_candidate` returns the lexicographically first pair whose
+delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
+exact ties do not break by roundoff. kappa = ||A||_inf ||M||_inf of the
+pair's component (A = L + J/n, as in the set-up's rcond bound), with L
+from the set-up and M as N is built: for GTR, the set-up's M. Each scan block keeps its maximum and its first pair within the
+band of that maximum; the global band can only be narrower, so that pair
+is the block's answer unless its delta falls outside, and only then is
+the block scored again.
+
 Each component works on local indices: its vertex array, its own graph
 and its M come from one `spectral.component_inverses` call (one split of
 the graph), and a vertex's local index is its position in that array.
@@ -35,32 +77,138 @@ import numpy as np
 from . import graph as gr
 from . import spectral as sp
 
+TIE_BAND = 16  # band in units of eps * kappa; see `best_candidate`
+PACKED_ROWS = 32  # rows per scan and update chunk once M and N share P
+
+
+def _block_bounds(n: int) -> tuple[int, ...]:
+    """Diagonal block boundaries, symmetric under x -> n - x, blocks of at
+    most CHOLESKY_ROWS rows."""
+    b = sp.CHOLESKY_ROWS
+    if n <= b:
+        return 0, n
+    top = list(range(0, n // 2 + 1, b))
+    middle = n - 2 * top[-1]
+    cuts = top + [n - x for x in top] + ([n // 2, n - n // 2] if middle > b else [])
+    return tuple(sorted(set(cuts)))
+
+
+def _anti_transpose_lower(x: np.ndarray, step: int = 2 * PACKED_ROWS) -> None:
+    """The strict lower triangle of x becomes that of x[::-1, ::-1].T, in
+    place: new x[a, b] = old x[n-1-b, n-1-a], an involution. Rows [lo, hi)
+    of the triangle swap with its columns [n-hi, n-lo) while hi <= n/2,
+    `step` rows at a time; the bottom-left square left over maps onto
+    itself, as the transpose of its row-reversed view. The workspace holds
+    step * n/2 doubles."""
+    n = len(x)
+    q, half = x[::-1, ::-1], n // 2
+    work = np.empty(step * max(half, step))
+    for lo in range(0, half, step):
+        hi = min(lo + step, half)
+        _swap(x[lo:hi, :lo], q[:lo, lo:hi].T, work)
+        _swap(x[lo:hi, lo:hi], q[lo:hi, lo:hi].T, work, np.tri(hi - lo, k=-1, dtype=bool))
+    f = x[half:, :n - half][::-1]
+    for i in range(0, len(f), step):
+        for j in range(i, len(f), step):
+            _swap(f[i:i + step, j:j + step], f[j:j + step, i:i + step].T, work)
+
+
+def _swap(a: np.ndarray, b: np.ndarray, work: np.ndarray, where=True) -> None:
+    """Swap the entries of a and b (where `where`) through `work`."""
+    t = sp._work(work, *a.shape)
+    t[...] = a
+    np.copyto(a, b, where=where)
+    np.copyto(b, t, where=where)
+
 
 class _Component:
-    __slots__ = ("verts", "size", "cand", "_m", "_n2", "_v", "_p")
+    __slots__ = ("verts", "size", "cand", "band", "_norm_a", "_m", "_n2", "_dn", "_v", "_p",
+                 "_bounds", "_chunks", "_rows", "_packed", "_block")
 
     def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray):
-        self.verts, self.size = verts, sub.n
-        self._m, self._n2 = m, None
+        n = sub.n
+        self.verts, self.size = verts, n
+        self._m, self._n2, self._dn = m, None, None
         self._v, self._p = None, 0  # pending rows, allocated on the first delay
-        self.cand = ~np.tri(self.size, dtype=bool)
+        self.cand = ~np.tri(n, dtype=bool)
         a, b = np.array(sub.edges, dtype=np.int64).reshape(-1, 2).T
         self.cand[a, b] = False
+        # ||L + J/n||_inf = 1 + 2 d_max (1 - 1/n), the largest row's; the band
+        # waits for ||M||_inf, read when N is built (never in the random baseline)
+        self._norm_a = 1.0 + 2.0 * np.bincount(np.concatenate([a, b])).max() * (1.0 - 1.0 / n)
+        self.band = None
+        self._bounds = bounds = _block_bounds(n)
+        self._rows = rows = min(n, sp.BLOCK_ROWS if len(bounds) == 2 else PACKED_ROWS)
+        # (first row, end row, block start, block end, block) of each chunk of rows
+        self._chunks = [(r0, min(r0 + rows, hi), lo, hi, k)
+                        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+                        for r0 in range(lo, hi, rows)]
+        self._packed, self._block = False, None  # set when N is built
 
     @property
     def m(self) -> np.ndarray:
-        """M with every pending insertion applied."""
+        """M with every pending insertion applied; a symmetric copy once it
+        shares its array with N."""
         self._flush()
-        return self._m
+        if not self._packed:
+            return self._m
+        out = self._m.copy()
+        for lo, hi in zip(self._bounds[:-1], self._bounds[1:]):
+            out[lo:hi, :lo] = self._m[:lo, lo:hi].T
+        return out
 
     @property
     def n2(self) -> np.ndarray:
-        """N = M^2, built on the first read."""
+        """N = M^2, built on the first read; a symmetric copy from the
+        upper triangle once it shares its array with M."""
         if self._n2 is None:
-            m = self.m
-            self._v = None  # from here on insertions update M and N at once
-            self._n2 = m.T @ m  # syrk: N exactly symmetric
-        return self._n2
+            self._build_n()
+        if not self._packed:
+            return self._dn[0]
+        n, f = self.size, self._m[::-1]
+        out = np.empty((n, n))
+        for d, lo, hi in zip(self._dn, self._bounds[:-1], self._bounds[1:]):
+            out[lo:hi, hi:] = f[lo:hi, :n - hi]
+            out[lo:hi, lo:hi] = np.triu(d) + np.triu(d, 1).T
+            out[lo:hi, :lo] = out[:lo, lo:hi].T
+        return out
+
+    def _build_n(self) -> None:
+        """N from M after a flush: syrk for one block, else in place in P
+        (see the module docstring)."""
+        self._flush()
+        self._v = None  # from here on insertions update M and N at once
+        p, n, bounds = self._m, self.size, self._bounds
+        self.band = TIE_BAND * np.finfo(float).eps * self._norm_a * sp._inf_norm(p)
+        sizes = np.diff(bounds)
+        flat = np.empty(int(sizes @ sizes))
+        ends = np.cumsum(sizes * sizes)
+        dn = [flat[e - h * h:e].reshape(h, h) for e, h in zip(ends, sizes)]
+        if len(dn) == 1:
+            np.matmul(p.T, p, out=dn[0])  # syrk: N exactly symmetric
+        else:
+            step = 2 * PACKED_ROWS  # rows of N at a time
+            work = np.empty(step * n)
+            for k in reversed(range(len(dn))):
+                lo, hi = bounds[k], bounds[k + 1]
+                for r0 in reversed(range(lo, hi, step)):
+                    r1 = min(r0 + step, hi)
+                    t = np.matmul(p[r0:r1], p[:r1].T, out=sp._work(work, r1 - r0, r1))
+                    d = dn[k][r0 - lo:r1 - lo]
+                    d[:, :r1 - lo] = t[:, lo:]
+                    d[:, r1 - lo:] = dn[k][r1 - lo:, r0 - lo:r1 - lo].T  # from the rows below
+                    p[r0:r1, :lo] = t[:, :lo]
+            del work, t
+            _anti_transpose_lower(p)
+            for r0, r1, lo, _, _ in self._chunks:
+                left = p[r0:r1, :lo]
+                left[...] = left[:, ::-1].copy()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                blk = p[lo:hi, lo:hi]
+                np.copyto(blk, blk.T.copy(), where=np.tri(hi - lo, k=-1, dtype=bool))
+            self._packed = True
+            self._block = np.repeat(np.arange(len(sizes)), sizes)
+        self._n2, self._dn = flat, dn
 
     def _flush(self) -> None:
         """M -= V^T V for the p pending rows, one block of rows at a time."""
@@ -76,22 +224,55 @@ class _Component:
             self._m[lo:lo + rows] -= t
         self._p = 0
 
+    def _mcol(self, a: int) -> np.ndarray:
+        """Column a of M as stored (without the pending rows)."""
+        if not self._packed:
+            return self._m[:, a]
+        hi = self._bounds[self._block[a] + 1]
+        return np.concatenate((self._m[:hi, a], self._m[a, hi:]))
+
+    def _ncol(self, a: int) -> np.ndarray:
+        """Column a of N, gathered from its three pieces in the packed layout."""
+        p, n, k = self._m, self.size, self._block[a]
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        above = np.arange(lo)
+        ends = np.array(self._bounds[1:])[self._block[:lo]]
+        return np.concatenate((p[n - 1 - above, a - ends], self._dn[k][:, a - lo],
+                               p[n - 1 - a, :n - hi]))
+
     def _diff(self, a: int, b: int) -> np.ndarray:
         """w = M_true[:, a] - M_true[:, b], through the pending rows."""
-        w = self._m[:, a] - self._m[:, b]
+        w = self._mcol(a) - self._mcol(b)
         if self._p:
             v = self._v[:self._p]
             w -= (v[:, a] - v[:, b]) @ v
         return w
 
     def rtot(self) -> float:
-        return self.size * float(np.trace(self.m)) - self.size
+        self._flush()
+        return self.size * float(np.trace(self._m)) - self.size
+
+    def _n_at(self, a, b):
+        """N_ab for local indices a <= b, scalars or arrays."""
+        if not self._packed:
+            return self._dn[0][a, b]
+        bounds = np.array(self._bounds)
+        sizes = np.diff(bounds)
+        k = self._block[a]
+        lo, h = bounds[k], sizes[k]
+        same = k == self._block[b]
+        at = np.cumsum(sizes * sizes)[k] - h * h + (a - lo) * h + (b - lo)
+        # a same-block pair reads a discarded entry of P on the other side
+        return np.where(same, self._n2[np.where(same, at, 0)],
+                        self._m[self.size - 1 - a, b - (lo + h)])
 
     def scores(self, a, b):
-        """R, B^2 and delta for local index pairs (a, b), scalars or arrays."""
-        m, n2 = self.m, self.n2
+        """R, B^2 and delta for local index pairs a < b, scalars or arrays."""
+        if self._n2 is None:
+            self._build_n()
+        m = self._m
         r = m[a, a] + m[b, b] - 2.0 * m[a, b]
-        bsq = n2[a, a] + n2[b, b] - 2.0 * n2[a, b]
+        bsq = self._n_at(a, a) + self._n_at(b, b) - 2.0 * self._n_at(a, b)
         return r, bsq, self.size * bsq / (1.0 + r)
 
     def pair(self, a: int, b: int):
@@ -103,30 +284,64 @@ class _Component:
         r, bsq = w[a] - w[b], w @ w
         return r, bsq, self.size * bsq / (1.0 + r)
 
+    def _scan_setup(self):
+        """Half the diagonals of M and N, and a buffer of two chunks."""
+        dn = self._dn
+        diag = np.diag(dn[0]) if len(dn) == 1 else np.concatenate([np.diag(d) for d in dn])
+        return 0.5 * np.diag(self._m), 0.5 * diag, np.empty((2, self._rows * self.size))
+
+    def _chunk_scores(self, chunk, hm, hn, buf) -> np.ndarray:
+        """delta of the chunk's rows against the columns from its first row
+        on, -inf off the candidate mask, as an (h, n - r0) view of buf[1].
+        Working at half scale is exact: scores match `scores`."""
+        r0, r1, lo, hi, k = chunk
+        n, m = self.size, self._m
+        h, width = r1 - r0, n - r0
+        b, t = buf[:, :h * width].reshape(2, h, width)
+        np.add(hn[r0:r1, None], hn[r0:], out=b)
+        b[:, :hi - r0] -= self._dn[k][r0 - lo:r1 - lo, r0 - lo:]
+        if hi < n:
+            b[:, hi - r0:] -= m[::-1][r0:r1, :n - hi]
+        b *= n
+        np.add(hm[r0:r1, None], hm[r0:], out=t)
+        t -= m[r0:r1, r0:]
+        t += 0.5
+        b /= t
+        t.fill(-np.inf)
+        np.copyto(t, b, where=self.cand[r0:r1, r0:])
+        return t
+
     def top(self):
-        """(delta, a, b) of the first best candidate in row-major order, delta
-        -inf if none. Working at half scale is exact: scores match `scores`."""
-        n, m, n2 = self.size, self.m, self.n2
-        hm, hn = 0.5 * np.diag(m), 0.5 * np.diag(n2)
-        rows = min(sp.BLOCK_ROWS, n)
-        buf = np.empty((2, rows * n))
-        best = (-np.inf, 0, 0)
-        for lo in range(0, n, rows):
-            h, width = min(rows, n - lo), n - lo
-            b, t = buf[:, :h * width].reshape(2, h, width)
-            np.add(hn[lo:lo + h, None], hn[lo:], out=b)
-            b -= n2[lo:lo + h, lo:]
-            b *= n
-            np.add(hm[lo:lo + h, None], hm[lo:], out=t)
-            t -= m[lo:lo + h, lo:]
-            t += 0.5
-            b /= t
-            t.fill(-np.inf)
-            np.copyto(t, b, where=self.cand[lo:lo + h, lo:])
-            k = int(t.argmax())
-            if t.flat[k] > best[0]:
-                best = (float(t.flat[k]), lo + k // width, lo + k % width)
-        return best
+        """(max delta, a, b, delta_ab, chunk) for the chunks of rows whose
+        maximum lies within the band of the component's, where (a, b) is
+        the chunk's first pair in row-major order within the band of the
+        chunk's maximum. Empty if the component is complete."""
+        if self._n2 is None:
+            self._build_n()
+        hm, hn, buf = self._scan_setup()
+        flags = buf[0].view(bool)  # buf[0] is free once the scores are in buf[1]
+        out, best = [], -np.inf
+        for chunk in self._chunks:
+            t = self._chunk_scores(chunk, hm, hn, buf)
+            width, flat = t.shape[1], t.reshape(-1)
+            i = int(flat.argmax())
+            top = float(flat[i])
+            if top == -np.inf or top < best - abs(best) * self.band:
+                continue  # no candidate, or outside the band of an earlier chunk
+            best = max(best, top)
+            f = int(np.greater_equal(flat[:i + 1], top - abs(top) * self.band,
+                                     out=flags[:i + 1]).argmax())
+            r0 = chunk[0]
+            out.append((top, r0 + f // width, r0 + f % width, float(flat[f]), chunk))
+        return [x for x in out if x[0] >= best - abs(best) * self.band]
+
+    def first_at_least(self, chunk, floor: float):
+        """(a, b, delta_ab) of the chunk's first pair in row-major order with
+        delta_ab >= floor; the chunk must hold one."""
+        t = self._chunk_scores(chunk, *self._scan_setup())
+        width, flat = t.shape[1], t.reshape(-1)
+        f = int((flat >= floor).argmax())
+        return chunk[0] + f // width, chunk[0] + f % width, float(flat[f])
 
     def insert(self, a: int, b: int) -> tuple[float, float]:
         """Add the local edge (a, b): in place to M and N once N exists,
@@ -143,19 +358,24 @@ class _Component:
             if self._p == n:
                 self._flush()
             return bsq, cc
-        m, n2 = self._m, self._n2
-        u2 = np.stack([w, m @ w], axis=1)
+        p, dn = self._m, self._dn
+        mw = self._ncol(a) - self._ncol(b) if self._packed else p @ w
+        u2 = np.stack([w, mw], axis=1)
         v2 = np.array([[cc * cc * bsq, -cc], [-cc, 0.0]]) @ u2.T
-        rows = min(sp.BLOCK_ROWS, n)
-        buf = np.empty((rows, n))
-        for lo in range(0, n, rows):
-            blk, t = slice(lo, lo + rows), buf[:min(rows, n - lo)]
+        # left of row i's block, P[i, c] = N[n-1-i, c + n - lo(i)]: U's rows reversed
+        ur = u2[::-1].copy() if self._packed else None
+        buf = np.empty(self._rows * n)
+        for r0, r1, lo, hi, k in self._chunks:
+            h = r1 - r0
             # outer product before the scale keeps M exactly symmetric
-            np.multiply(w[blk, None], w, out=t)
+            t = np.multiply(w[r0:r1, None], w[lo:], out=buf[:h * (n - lo)].reshape(h, n - lo))
             t *= cc
-            m[blk] -= t
-            np.matmul(u2[blk], v2, out=t)
-            n2[blk] += t
+            p[r0:r1, lo:] -= t
+            dn[k][r0 - lo:r1 - lo] += np.matmul(u2[r0:r1], v2[:, lo:hi],
+                                                 out=buf[:h * (hi - lo)].reshape(h, hi - lo))
+            if lo:
+                p[r0:r1, :lo] += np.matmul(ur[r0:r1], v2[:, n - lo:],
+                                           out=buf[:h * lo].reshape(h, lo))
         return bsq, cc
 
 
@@ -211,14 +431,25 @@ class ResistanceState:
         return rows
 
     def best_candidate(self):
-        """(u, v, R, Bsq, delta) maximizing delta; ties broken by (u, v).
+        """(u, v, R, Bsq, delta) for the lexicographically first (u, v)
+        whose delta lies within the tie band of the largest delta:
+        delta >= delta_max - |delta_max| * band of (u, v)'s component.
 
         Returns None when every component is complete.
         """
-        tops = [(top, int(c.verts[a]), int(c.verts[b]))
-                for c in self.comps for top, a, b in [c.top()]]
-        top, u, v = max(tops, key=lambda t: (t[0], -t[1], -t[2]),
-                        default=(-np.inf, 0, 0))
-        if top == -np.inf:
+        found = [(c, *top) for c in self.comps for top in c.top()]
+        if not found:
             return None
-        return (u, v, *self.pair_scores(u, v))
+        best = max(x[1] for x in found)
+        # a chunk's first pair within its own, narrower, band is its answer
+        # unless that pair lies outside the global band; then it is re-scored
+        live = [[int(c.verts[a]), int(c.verts[b]), delta, c, chunk]
+                for c, top, a, b, delta, chunk in found if top >= best - abs(best) * c.band]
+        while True:
+            first = min(live, key=lambda x: x[:2])
+            u, v, delta, c, chunk = first
+            floor = best - abs(best) * c.band
+            if delta >= floor:
+                return (u, v, *self.pair_scores(u, v))
+            a, b, first[2] = c.first_at_least(chunk, floor)
+            first[:2] = int(c.verts[a]), int(c.verts[b])

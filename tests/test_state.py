@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reswire import (
     CrossComponentError,
@@ -20,7 +22,9 @@ from reswire import (
     total_resistance,
 )
 from reswire import graph as gr
+from reswire.rewiring import gtr, random_baseline
 from reswire.spectral import _inf_norm
+from reswire.state import _anti_transpose_lower, _Component
 from reswire.verify import (
     complete_graph,
     cycle_graph,
@@ -205,14 +209,15 @@ class TestAllPairScores:
 
 
 def _reference_best(s):
-    """Max of pair_scores over every candidate; the lexicographically first
-    (u, v) among exact ties."""
-    best = None
-    for u, v in same_component_non_edges(s.current_graph()):
-        row = (u, v, *s.pair_scores(u, v))
-        if best is None or row[4] > best[4]:
-            best = row
-    return best
+    """The lexicographically first candidate whose pair_scores delta lies
+    within the tie band of the largest: delta >= max - |max| * band of its
+    component, as `best_candidate` promises."""
+    rows = [(u, v, *s.pair_scores(u, v)) for u, v in same_component_non_edges(s.current_graph())]
+    if not rows:
+        return None
+    best = max(row[4] for row in rows)
+    band = {int(x): c.band for c in s.comps for x in c.verts}
+    return next(row for row in rows if row[4] >= best - abs(best) * band[row[0]])
 
 
 def _union(rng, sizes):
@@ -234,6 +239,126 @@ def _barbell(k, bridge):
     off = k + bridge
     edges += [(off + i, off + j) for i in range(k) for j in range(i + 1, k)]
     return build_graph(2 * k + bridge, edges)
+
+
+def _hypercube(d):
+    n = 1 << d
+    return build_graph(n, [(u, u ^ bit) for u in range(n)
+                           for bit in (1 << i for i in range(d)) if u < u ^ bit])
+
+
+def _complete_bipartite(a):
+    return build_graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+
+
+_VERTEX_TRANSITIVE = st.one_of(st.integers(4, 300).map(cycle_graph),
+                               st.integers(2, 70).map(_complete_bipartite),
+                               st.integers(2, 8).map(_hypercube))
+
+
+class TestTieBand:
+    """best_candidate takes the lexicographically first pair within a
+    roundoff band of the largest delta, so exact ties never break by
+    roundoff."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_VERTEX_TRANSITIVE)
+    def test_first_pick_is_first_exact_tie(self, g):
+        # exact ties: within 1e-9 relative of the maximum, as the benchmark's
+        # oracle; one component, so row-major order is (u, v) order
+        (c,) = ResistanceState(g).comps
+        a, b = np.nonzero(c.cand)
+        delta = c.scores(a, b)[2]
+        first = int(np.argmax(delta >= delta.max() * (1 - 1e-9)))
+        assert ResistanceState(g).best_candidate()[:2] == (a[first], b[first])
+
+    @pytest.mark.parametrize("band", [1e-3, 0.3])
+    def test_wide_band_matches_reference(self, band):
+        # a wide band makes chunks' first pairs fall outside the global band,
+        # so best_candidate must score those chunks again
+        rng = random.Random(71)
+        graphs = [_union(rng, [rng.randint(3, 40) for _ in range(rng.randint(1, 3))])
+                  for _ in range(12)]
+        for g in graphs + [_union(rng, [130])]:
+            s = ResistanceState(g)
+            s.best_candidate()  # builds N, which sets the band
+            for c in s.comps:
+                c.band = band
+            for _ in range(3 if g in graphs else 1):
+                best = s.best_candidate()
+                assert best == _reference_best(s)
+                if best is None:
+                    break
+                s.apply_edge(*best[:2])
+
+    def test_cycle_picks(self):
+        for n, pick in ((10, (0, 5)), (64, (0, 32)), (301, (0, 150))):
+            assert ResistanceState(cycle_graph(n)).best_candidate()[:2] == pick
+
+    def test_band_far_below_oracle_ties(self):
+        rng = random.Random(67)
+        graphs = [random_connected_graph(rng, n, 0.01) for n in (40, 400)]
+        graphs += [path_graph(120), cycle_graph(300), _complete_bipartite(60)]
+        for g in graphs:
+            s = ResistanceState(g)
+            s.best_candidate()
+            for c in s.comps:
+                assert 0.0 < c.band <= 1e-10
+
+
+class TestPackedLayout:
+    """A component of more than 128 vertices keeps M and N in one n^2 array
+    once N exists; the materialised `m` and `n2` match a fresh state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64, 127, 128, 129, 200, 257])
+    @pytest.mark.parametrize("step", [1, 3, 64])
+    def test_anti_transpose_lower(self, n, step):
+        a = np.arange(n * n, dtype=float).reshape(n, n)
+        x = a.copy()
+        _anti_transpose_lower(x, step)
+        assert np.array_equal(np.tril(x, -1), np.tril(a[::-1, ::-1].T, -1))
+        assert np.array_equal(np.triu(x), np.triu(a))
+
+    @pytest.mark.parametrize("sizes", [[127], [128], [129], [255], [256], [257], [300],
+                                       [385], [129, 300], [127, 257, 128]])
+    def test_insertions_match_scratch(self, sizes):
+        rng = random.Random(sum(sizes))
+        s = ResistanceState(_union(rng, sizes))
+        _random_insertions(s, rng, 5)  # pending rows, then flushed by the first scan
+        for _ in range(6):
+            s.apply_edge(*s.best_candidate()[:2])
+        _random_insertions(s, rng, 5)
+        fresh = ResistanceState(s.current_graph())
+        firsts, best = [], 0.0
+        for c, f in zip(s.comps, fresh.comps):
+            assert c._n2 is not None
+            assert np.max(np.abs(c.m - f.m)) <= 1e-12
+            assert np.max(np.abs(c.n2 - f.n2)) <= 1e-12
+            a, b = np.nonzero(c.cand)
+            scores, ref = np.array(c.scores(a, b)), np.array(f.scores(a, b))
+            assert np.allclose(scores, ref, rtol=1e-9, atol=0)
+            best = max(best, scores[2].max())
+            firsts.append((c, a, b, scores))
+        # the band contract, from the scores of every pair
+        u, v = min((int(c.verts[a[i]]), int(c.verts[b[i]])) for c, a, b, scores in firsts
+                   for i in [int(np.argmax(scores[2] >= best - best * c.band))]
+                   if scores[2].max() >= best - best * c.band)
+        assert s.best_candidate() == (u, v, *s.pair_scores(u, v))
+
+    def test_production_paths_read_no_dense_copy(self, monkeypatch):
+        """gtr and random_baseline read M and N from the layout: never
+        through the `m` or `n2` properties once N exists, which copy."""
+        reads = []
+        for name in ("m", "n2"):
+            def guarded(self, fget=getattr(_Component, name).fget, name=name):
+                if self._n2 is not None:
+                    reads.append(name)
+                return fget(self)
+            monkeypatch.setattr(_Component, name, property(guarded))
+        g = _union(random.Random(61), [300, 129, 40])
+        assert gtr(g, 8).edge_list()
+        assert random_baseline(g, 30, seed=2).edge_list()
+        assert reads == []
 
 
 class TestKernel:
@@ -346,8 +471,9 @@ class TestDelayed:
 
 class TestMemory:
     """tracemalloc peaks as the benchmark's memory probe takes them: the
-    state's own M and N are 2 n^2 doubles, so each peak leaves at most one
-    more n^2 for temporaries."""
+    state's own M and N take at most 2 n^2 doubles (n^2 and N's diagonal
+    blocks once they share one array), so each peak leaves at most one more
+    n^2 for temporaries."""
 
     def test_init_and_step_peaks(self):
         g = random_connected_graph(random.Random(31), 300, 0.02)
@@ -409,6 +535,34 @@ class TestMemory:
             g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
             before = peak_kb()
             spectral.component_inverses(g)
+            print(peak_kb() - before)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert int(out.stdout) * 1024 <= 2 * 8 * n ** 2
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_gtr_steps_rss_in_child(self):
+        """Peak resident-set growth of set-up, N build and four GTR steps at
+        n=1200, read in a child as in `test_setup_rss_in_child`. M and N share
+        the set-up's n^2 array, beside N's diagonal blocks, the candidate mask
+        and one block of rows: 1.59 n^2 doubles measured, where a separate
+        n^2 array for N read 2.68 n^2."""
+        n = 1200
+        code = textwrap.dedent(f"""
+            import random
+            from reswire import ResistanceState, verify
+            def peak_kb():
+                with open("/proc/self/status") as f:
+                    return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
+            warm = ResistanceState(verify.random_connected_graph(random.Random(1), 200, 0.05))
+            warm.apply_edge(*warm.best_candidate()[:2])
+            del warm
+            g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
+            before = peak_kb()
+            s = ResistanceState(g)
+            for _ in range(4):
+                s.apply_edge(*s.best_candidate()[:2])
             print(peak_kb() - before)
         """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
