@@ -10,7 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 from . import bounds as bd
@@ -70,17 +74,18 @@ def cmd_rewire(args) -> int:
     inputs = _gather_inputs(args)
     if inputs is None:
         return 2
+
+    def outputs(path, g, plan):
+        return _plan_payload(path, plan), args.output and gr.to_edge_list(g, plan.edge_list())
+
     any_ok = False
-    for path in inputs:
-        try:
-            g = _load_graph(path)
-        except (OSError, EdgeListParseError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for path, error, kept in _plans(inputs, args, outputs):
+        if error:
+            print(error, file=sys.stderr)
             if len(inputs) == 1:
                 return 2
             continue
-        plan = rw.rewire(g, args.k, method=args.method, seed=args.seed)
-        payload = _plan_payload(path, plan)
+        payload, edge_text = kept
         if args.output:
             out = Path(args.output)
             if len(inputs) > 1:
@@ -91,7 +96,7 @@ def cmd_rewire(args) -> int:
             else:
                 edge_path = out
                 plan_path = out.with_suffix(out.suffix + ".plan.json")
-            edge_path.write_text(gr.to_edge_list(g, plan.edge_list()))
+            edge_path.write_text(edge_text)
             _dump_json(payload, plan_path)
         else:
             _dump_json(payload)
@@ -184,11 +189,12 @@ def _tolerance(text: str) -> float:
 
 def _gather_inputs(args):
     if getattr(args, "input_dir", None):
-        files = sorted(Path(args.input_dir).glob("*.el"))
-        if not files:
-            files = sorted(
-                p for p in Path(args.input_dir).iterdir() if p.is_file()
-            )
+        try:
+            files = sorted(Path(args.input_dir).glob("*.el")) or sorted(
+                p for p in Path(args.input_dir).iterdir() if p.is_file())
+        except OSError as exc:  # no such directory, or not a directory
+            print(f"error: {exc}", file=sys.stderr)
+            return None
         if not files:
             print(f"error: no input files in {args.input_dir}", file=sys.stderr)
             return None
@@ -199,19 +205,157 @@ def _gather_inputs(args):
     return None
 
 
+# thread-count entry points of OpenBLAS (numpy's wheels, then plain) and MKL
+BLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads"),
+)
+
+
+def _blas_thread_calls():
+    """(get, set) of the thread count of each loaded OpenBLAS or MKL."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split(None, 5)[5].strip() for line in maps
+                           if "openblas" in line or "mkl_rt" in line})
+    except OSError:
+        return []
+    calls = []
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get, put in BLAS_THREAD_CALLS:
+            if hasattr(dll, get) and hasattr(dll, put):
+                getter, setter = getattr(dll, get), getattr(dll, put)
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                calls.append((getter, setter))
+                break
+    return calls
+
+
+def _plan(path, args, keep, hand_back=False):
+    """(error line, None) of an unreadable input, else (None, what `keep`
+    takes of its graph and plan). With hand_back, None for a graph with a
+    component of more than CHOLESKY_ROWS vertices."""
+    try:
+        g = _load_graph(path)
+    except (OSError, EdgeListParseError) as exc:
+        return f"error: {path}: {exc}", None
+    if hand_back and max(Counter(g.component_id).values(), default=0) > sp.CHOLESKY_ROWS:
+        return None
+    return None, keep(path, g, rw.rewire(g, args.k, method=args.method, seed=args.seed))
+
+
+def _run_share(share, inputs, args, keep):
+    """{index: (result, exception, warnings)} of a share of the inputs, each
+    run with its warnings recorded, up to the first exception."""
+    done = {}
+    for i in share:
+        result = exc = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = _plan(inputs[i], args, keep, hand_back=True)
+            except Exception as err:
+                exc = err
+        # a handed-back input warns again when it runs in the caller
+        done[i] = result, exc, [(w.message, w.category, w.filename, w.lineno)
+                                for w in caught if result or exc]
+        if exc is not None:
+            break
+    return done
+
+
+def _fan_out(inputs, args, keep, workers, blas):
+    """Deal the inputs round-robin to `workers` shares and run them at one
+    BLAS thread: share 0 here, each other share in a forked child that
+    pipes back its pickled results. Every child is reaped and the BLAS
+    thread counts restored before this returns or raises."""
+    shares = [range(w, len(inputs), workers) for w in range(workers)]
+    threads = [get() for get, _ in blas]
+    for _, put in blas:
+        put(1)
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            with warnings.catch_warnings():  # Python 3.12+ warns of the idle BLAS threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child leaves only here, by os._exit
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as sink:
+                        pickle.dump(_run_share(share, inputs, args, keep), sink)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        done = _run_share(shares[0], inputs, args, keep)
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        for (_, put), count in zip(blas, threads):
+            put(count)
+    for (pid, _), status, blob in zip(children, statuses, blobs):
+        if status or not blob:
+            raise RuntimeError(f"fan-out worker {pid} exited with code {status}")
+        done.update(pickle.loads(blob))
+    return done
+
+
+def _warn_again(message, category, filename, lineno):
+    """Issue a warning recorded in a fan-out share as if it were raised
+    here: under this process's filters and in the registry of the module it
+    names, so that each message still shows once."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    scope = vars(module) if module is not None else {}
+    warnings.warn_explicit(message, category, filename, lineno, scope.get("__name__"),
+                           scope.setdefault("__warningregistry__", {}))
+
+
+def _plans(inputs, args, keep):
+    """(path, error line, what `keep` takes) of each input, in input order.
+
+    With two or more inputs, two or more CPUs and a BLAS whose thread count
+    can be set, the inputs fan out over one process per CPU at one BLAS
+    thread. Graphs with a component of more than CHOLESKY_ROWS vertices
+    run here afterwards, at the configured thread count. Warnings and
+    exceptions surface here in input order, as in a single-process run."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = _blas_thread_calls() if len(inputs) > 1 and cpus > 1 else []
+    done = _fan_out(inputs, args, keep, min(cpus, len(inputs)), blas) if blas else {}
+    for i, path in enumerate(inputs):
+        result, exc, caught = done.get(i, (None, None, ()))
+        for w in caught:
+            _warn_again(*w)
+        if exc is not None:
+            raise exc
+        yield (path, *(result or _plan(path, args, keep)))
+
+
 def cmd_curve(args) -> int:
     inputs = _gather_inputs(args)
     if inputs is None:
         return 2
     trajectories = []
-    for path in inputs:
-        try:
-            g = _load_graph(path)
-        except (OSError, EdgeListParseError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for _, error, trajectory in _plans(inputs, args, lambda path, g, plan: plan.rtot_trajectory):
+        if error:
+            print(error, file=sys.stderr)
             continue
-        plan = rw.rewire(g, args.k, method=args.method, seed=args.seed)
-        trajectories.append(plan.rtot_trajectory)
+        trajectories.append(trajectory)
     if not trajectories:
         return 2
     if len(trajectories) == 1:

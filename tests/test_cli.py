@@ -4,12 +4,15 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reswire import from_edge_list, is_bipartite, to_edge_list, total_resistance
+from reswire import cli
+from reswire import rewiring as rw
 from reswire import spectral as sp
 from reswire.cli import main
 from reswire.verify import random_connected_graph
@@ -272,6 +275,194 @@ class TestCurve:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["curve", "rewire"])
+    @pytest.mark.parametrize("missing", ["nope", "p5.el"])
+    def test_missing_dir_exit_2(self, p5_file, command, missing, capsys):
+        # no such directory, or a file where a directory belongs
+        assert main([command, "--input-dir", str(p5_file.parent / missing), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def _edge_text(edges):
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.fixture
+def batch_dir(tmp_path):
+    """A batch that exercises the fan-out: small graphs, an unparsable file,
+    a graph with a 130-vertex component, and two complete graphs whose
+    plans truncate with the same warning. File i goes to share i % 2 on
+    two CPUs, so the worker gets the 130-vertex graph and hands it back."""
+    d = tmp_path / "in"
+    d.mkdir()
+    k4 = _edge_text((u, v) for u in range(4) for v in range(u + 1, 4))
+    big = random_connected_graph(random.Random(3), 130, extra_edge_prob=0.02)
+    files = {"00-k4": k4, "01-k4": k4, "02-bad": "0 0\n",
+             "03-big": _edge_text(big.edges) + "130 131\n131 132\n",
+             "05-p7": _edge_text((i, i + 1) for i in range(6))}
+    rng = random.Random(4)
+    for i in (4, 6, 7, 8, 9, 10):
+        files[f"{i:02d}"] = _edge_text(random_connected_graph(rng, rng.randint(8, 40)).edges)
+    for name, text in files.items():
+        (d / f"{name}.el").write_text(text)
+    return d
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def _run_batch(argv, cpus, monkeypatch, capsys, action="default"):
+    """(exit code, stdout, stderr with the warnings a plain run prints under
+    the warnings filter `action`) of main(argv) on `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        warnings.showwarning = _show_on_stderr
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _blas_threads():
+    return [get() for get, _ in cli._blas_thread_calls()]
+
+
+class TestFanOut:
+    """curve and rewire over a directory fan out over forked workers when
+    there are two or more inputs and CPUs; the output must not change."""
+
+    @pytest.fixture(autouse=True)
+    def stay_in_parent(self, tmp_path):
+        """A worker must leave by os._exit. One that returned into the test
+        instead leaves a marker and ends here, before it could run the
+        rest of the test run; the parent reaps it before main returns."""
+        parent = os.getpid()
+        yield
+        if os.getpid() != parent:
+            (tmp_path / "escaped").write_text("")
+            os._exit(0)
+        assert not (tmp_path / "escaped").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command,method,to_dir", [
+        ("curve", "gtr", False), ("curve", "random", True),
+        ("rewire", "gtr", False), ("rewire", "gtr", True), ("rewire", "random", True),
+    ])
+    def test_output_unchanged(self, batch_dir, tmp_path, monkeypatch, capsys,
+                              command, method, to_dir):
+        assert cli._blas_thread_calls(), "no BLAS thread-count entry point found"
+        parent, threads = os.getpid(), _blas_threads()
+        real_fork, real_rewire = os.fork, rw.rewire
+        forks, here = [], []
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        def rewire(g, *args, **kwargs):
+            here.append((os.getpid(), g.n, _blas_threads()))
+            return real_rewire(g, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(rw, "rewire", rewire)
+        runs = []
+        for cpus in (2, 1):
+            (tmp_path / f"out{cpus}").mkdir()
+            out_path = tmp_path / f"out{cpus}" / ("curve.csv" if command == "curve" else "")
+            argv = [command, "--input-dir", str(batch_dir), "--k", "3", "--method", method]
+            if to_dir:
+                argv += ["--output", str(out_path)]
+            rc, out, err = _run_batch(argv, cpus, monkeypatch, capsys)
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / f"out{cpus}").glob("*"))}
+            runs.append((rc, out, err, files))
+            if cpus == 2:
+                # one child; the parent ran its own share (even indices,
+                # 5 readable) at one BLAS thread, then the 133-vertex graph
+                # at the full count
+                assert len(forks) == 1
+                assert [n for _, n, _ in here].count(133) == 1 and len(here) == 6
+                assert all(pid == parent for pid, _, _ in here)
+                assert [t for _, n, t in here if n == 133] == [threads]
+                assert all(t == [1] * len(threads) for _, n, t in here if n != 133)
+                forks.clear()
+            here.clear()
+        assert runs[0] == runs[1]
+        rc, out, err, files = runs[0]
+        assert rc == 0
+        assert err.count("error: ") == 1 and "02-bad.el" in err
+        assert err.count("plan truncated") == 1
+        assert len(files) == (0 if not to_dir else 1 if command == "curve" else 2 * 10)
+        assert _blas_threads() == threads
+
+    def test_always_filter(self, batch_dir, monkeypatch, capsys):
+        # every warning shows each time it is raised, and a handed-back
+        # graph's parse warning once, though the worker parsed it too
+        big = batch_dir / "03-big.el"
+        text = big.read_text()
+        big.write_text(text + text.splitlines()[0] + "\n")
+        argv = ["curve", "--input-dir", str(batch_dir), "--k", "3"]
+        runs = [_run_batch(argv, cpus, monkeypatch, capsys, "always") for cpus in (2, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][2].count("duplicate edges collapsed") == 1
+        assert runs[0][2].count("plan truncated") == 2
+
+    def test_no_blas_entry_point_runs_in_process(self, batch_dir, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: [])
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        argv = ["curve", "--input-dir", str(batch_dir), "--k", "3"]
+        assert _run_batch(argv, 2, monkeypatch, capsys)[0] == 0
+
+    def test_worker_exception_reaches_parent(self, batch_dir, monkeypatch):
+        # 05-p7.el sits in the child's share: its error is raised in the
+        # parent, with its type and message, after every child is reaped
+        # and after the warnings of the inputs before it
+        parent, threads = os.getpid(), _blas_threads()
+        real_rewire = rw.rewire
+
+        def rewire(g, *args, **kwargs):
+            if g.n == 7:
+                raise ValueError(f"boom in process {os.getpid()}")
+            return real_rewire(g, *args, **kwargs)
+
+        monkeypatch.setattr(rw, "rewire", rewire)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.warns(UserWarning, match="plan truncated"), \
+                pytest.raises(ValueError, match=r"boom in process (\d+)") as exc:
+            main(["curve", "--input-dir", str(batch_dir), "--k", "3"])
+        assert str(exc.value) != f"boom in process {parent}"
+        assert _blas_threads() == threads
+
+    @pytest.mark.parametrize("leave", [KeyboardInterrupt, SystemExit])
+    def test_uncaught_exception_ends_worker(self, batch_dir, tmp_path, monkeypatch, leave):
+        # an exception that the worker does not catch still ends the child
+        # by os._exit (stay_in_parent checks that it never returns here)
+        parent, threads = os.getpid(), _blas_threads()
+        real_rewire = rw.rewire
+
+        def rewire(g, *args, **kwargs):
+            if os.getpid() != parent:
+                raise leave()
+            return real_rewire(g, *args, **kwargs)
+
+        monkeypatch.setattr(rw, "rewire", rewire)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError, match="exited with code 1$"):
+            main(["rewire", "--input-dir", str(batch_dir), "--k", "3",
+                  "--output", str(tmp_path / "out")])
+        assert _blas_threads() == threads
+
+    def test_cli_process(self, batch_dir, monkeypatch, capsys):
+        argv = ["curve", "--input-dir", str(batch_dir), "--k", "3"]
+        run = subprocess.run([sys.executable, "-m", "reswire.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert run.returncode == 0
+        assert run.stderr.count("plan truncated") == 1
+        assert run.stdout == _run_batch(argv, 1, monkeypatch, capsys)[1]
 
 
 class TestVerify:
