@@ -23,17 +23,13 @@ class BoundParams:
     """Lipschitz and spectral inputs.
 
     alpha bounds the update-map gradient, beta = max(message-map gradient, 1),
-    r is the layer count. mu/d_min/d_max default to graph-derived values:
-    pairwise bounds use the degrees of the endpoints, aggregate bounds use
-    the global degree extremes.
+    r is the layer count. mu defaults to the graph's certified value.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     r: int = 0
     mu: float | None = None
-    d_min: int | None = None
-    d_max: int | None = None
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -104,16 +100,15 @@ def _resistance_form(g: gr.Graph, p: BoundParams, lead: float, quantity,
                      pair=None) -> float:
     """(2ab)^r * (d_max/2) * (lead/d_min * (r+1 + mu^{r+1}/(1-mu)) - quantity()).
 
-    mu, d_min and d_max default to graph values: those of the pair's
-    component and endpoints, else of the whole graph. The checks on mu
+    mu defaults to the graph's value. d_min and d_max are the degrees of
+    the pair's endpoints, else the whole graph's extremes. The checks on mu
     run before the degrees are read and `quantity` is called.
     """
     if pair is not None:
         gr._check_range(g, *pair)
     mu = _resolve_mu(g, p, component=None if pair is None else g.component_id[pair[0]])
     d = gr.degrees(g) if pair is None else gr.degrees(g)[list(pair)]
-    d_min = p.d_min if p.d_min is not None else int(d.min())
-    d_max = p.d_max if p.d_max is not None else int(d.max())
+    d_min, d_max = int(d.min()), int(d.max())
     tail = p.r + 1 + mu ** (p.r + 1) / (1.0 - mu)
     return _scaled(p, lambda s: s * (d_max / 2.0) * (lead / d_min * tail - quantity()))
 

@@ -74,6 +74,14 @@ def cmd_rewire(args) -> int:
     inputs = _gather_inputs(args)
     if inputs is None:
         return 2
+    if args.output and len(inputs) > 1:  # outputs are named by the input's stem
+        stems = {}
+        for path in inputs:
+            other = stems.setdefault(Path(path).stem, path)
+            if other != path:
+                print(f"error: {other} and {path} would both write "
+                      f"{Path(args.output) / Path(path).stem}.rewired.el", file=sys.stderr)
+                return 2
 
     def outputs(path, g, plan):
         return _plan_payload(path, plan), args.output and gr.to_edge_list(g, plan.edge_list())
@@ -252,21 +260,33 @@ def _plan(path, args, keep, hand_back=False):
     return None, keep(path, g, rw.rewire(g, args.k, method=args.method, seed=args.seed))
 
 
+class _WorkerTraceback(Exception):
+    """The traceback of a fan-out worker's exception, as text: the cause
+    chained to that exception when it is raised again in the parent (as
+    concurrent.futures does), since pickling drops its frames."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _run_share(share, inputs, args, keep):
-    """{index: (result, exception, warnings)} of a share of the inputs, each
-    run with its warnings recorded, up to the first exception."""
+    """{index: (result, exception, its traceback text, warnings)} of a share
+    of the inputs, each run with its warnings recorded, up to the first
+    exception."""
     done = {}
     for i in share:
-        result = exc = None
+        result = exc = trace = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 result = _plan(inputs[i], args, keep, hand_back=True)
             except Exception as err:
-                exc = err
+                import traceback
+
+                exc, trace = err, traceback.format_exc()
         # a handed-back input warns again when it runs in the caller
-        done[i] = result, exc, [(w.message, w.category, w.filename, w.lineno)
-                                for w in caught if result or exc]
+        done[i] = result, exc, trace, [(w.message, w.category, w.filename, w.lineno)
+                                       for w in caught if result or exc]
         if exc is not None:
             break
     return done
@@ -338,10 +358,12 @@ def _plans(inputs, args, keep):
     blas = _blas_thread_calls() if len(inputs) > 1 and cpus > 1 else []
     done = _fan_out(inputs, args, keep, min(cpus, len(inputs)), blas) if blas else {}
     for i, path in enumerate(inputs):
-        result, exc, caught = done.get(i, (None, None, ()))
+        result, exc, trace, caught = done.get(i, (None, None, None, ()))
         for w in caught:
             _warn_again(*w)
         if exc is not None:
+            if exc.__traceback__ is None:  # unpickled from a worker
+                exc.__cause__ = _WorkerTraceback(trace)
             raise exc
         yield (path, *(result or _plan(path, args, keep)))
 

@@ -10,10 +10,10 @@ pre-update M and N:
     M' = M - c w w^T
     N' = M'^2 = N + U S U^T,  U = [w, Mw],  S = [[c^2 B^2, -c], [-c, 0]]
 
-N is built from M only when a scan, `all_pair_scores` or a read of `n2`
-first needs it; the random baseline never does. Until then an insertion
-is delayed (Hager, "Updating the inverse of a matrix", SIAM Review 31,
-1989): with p pending rows v_i = sqrt(c_i) w_i stacked as V (p x n_c),
+N is built from M only when a scan or a read of `n2` first needs it; the
+random baseline never does. Until then an insertion is delayed (Hager,
+"Updating the inverse of a matrix", SIAM Review 31, 1989): with p pending
+rows v_i = sqrt(c_i) w_i stacked as V (p x n_c),
 
     M_true = M - sum_i c_i w_i w_i^T = M - V^T V
     w      = M_true (e_u - e_v) = M[:, u] - M[:, v] - V^T (V[:, u] - V[:, v])
@@ -55,15 +55,18 @@ triangles. The build holds 64 rows as workspace. An insertion then
 writes M's rank-1 term right of each row's block start and N's rank-2
 term, with the rows of its factor reversed, left of it; Mw is a
 difference of two columns of N, gathered from the pieces in O(n_c).
+Outside the scan only these column gathers (also behind the `m` and `n2`
+copies) and `_n_at`, one entry of N for `pair`, read the layout.
 
 Tie band. `best_candidate` returns the lexicographically first pair whose
 delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
 exact ties do not break by roundoff. kappa = ||A||_inf ||M||_inf of the
 pair's component (A = L + J/n, as in the set-up's rcond bound), with L
-from the set-up and M as N is built: for GTR, the set-up's M. Each scan block keeps its maximum and its first pair within the
-band of that maximum; the global band can only be narrower, so that pair
-is the block's answer unless its delta falls outside, and only then is
-the block scored again.
+from the set-up and M as N is built: for GTR, the set-up's M. Each scan
+block keeps its maximum and its first pair within the band of that
+maximum; the global band can only be narrower, so that pair is the
+block's answer unless its delta falls outside, and only then is the block
+scored again.
 
 Each component works on local indices: its vertex array, its own graph
 and its M come from one `spectral.component_inverses` call (one split of
@@ -147,31 +150,19 @@ class _Component:
 
     @property
     def m(self) -> np.ndarray:
-        """M with every pending insertion applied; a symmetric copy once it
-        shares its array with N."""
+        """M with every pending insertion applied, as a copy gathered
+        column by column."""
         self._flush()
-        if not self._packed:
-            return self._m
-        out = self._m.copy()
-        for lo, hi in zip(self._bounds[:-1], self._bounds[1:]):
-            out[lo:hi, :lo] = self._m[:lo, lo:hi].T
-        return out
+        return np.stack([self._mcol(a) for a in range(self.size)], axis=1)
 
     @property
     def n2(self) -> np.ndarray:
-        """N = M^2, built on the first read; a symmetric copy from the
-        upper triangle once it shares its array with M."""
+        """N = M^2, built on the first read, as the symmetric copy of its
+        upper triangle, gathered column by column."""
         if self._n2 is None:
             self._build_n()
-        if not self._packed:
-            return self._dn[0]
-        n, f = self.size, self._m[::-1]
-        out = np.empty((n, n))
-        for d, lo, hi in zip(self._dn, self._bounds[:-1], self._bounds[1:]):
-            out[lo:hi, hi:] = f[lo:hi, :n - hi]
-            out[lo:hi, lo:hi] = np.triu(d) + np.triu(d, 1).T
-            out[lo:hi, :lo] = out[:lo, lo:hi].T
-        return out
+        out = np.stack([self._ncol(a) for a in range(self.size)], axis=1)
+        return np.triu(out) + np.triu(out, 1).T
 
     def _build_n(self) -> None:
         """N from M after a flush: syrk for one block, else in place in P
@@ -207,8 +198,8 @@ class _Component:
                 blk = p[lo:hi, lo:hi]
                 np.copyto(blk, blk.T.copy(), where=np.tri(hi - lo, k=-1, dtype=bool))
             self._packed = True
-            self._block = np.repeat(np.arange(len(sizes)), sizes)
         self._n2, self._dn = flat, dn
+        self._block = np.repeat(np.arange(len(sizes)), sizes)
 
     def _flush(self) -> None:
         """M -= V^T V for the p pending rows, one block of rows at a time."""
@@ -252,36 +243,24 @@ class _Component:
         self._flush()
         return self.size * float(np.trace(self._m)) - self.size
 
-    def _n_at(self, a, b):
-        """N_ab for local indices a <= b, scalars or arrays."""
-        if not self._packed:
-            return self._dn[0][a, b]
-        bounds = np.array(self._bounds)
-        sizes = np.diff(bounds)
+    def _n_at(self, a: int, b: int) -> float:
+        """N_ab for local indices a <= b."""
         k = self._block[a]
-        lo, h = bounds[k], sizes[k]
-        same = k == self._block[b]
-        at = np.cumsum(sizes * sizes)[k] - h * h + (a - lo) * h + (b - lo)
-        # a same-block pair reads a discarded entry of P on the other side
-        return np.where(same, self._n2[np.where(same, at, 0)],
-                        self._m[self.size - 1 - a, b - (lo + h)])
-
-    def scores(self, a, b):
-        """R, B^2 and delta for local index pairs a < b, scalars or arrays."""
-        if self._n2 is None:
-            self._build_n()
-        m = self._m
-        r = m[a, a] + m[b, b] - 2.0 * m[a, b]
-        bsq = self._n_at(a, a) + self._n_at(b, b) - 2.0 * self._n_at(a, b)
-        return r, bsq, self.size * bsq / (1.0 + r)
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        if b < hi:
+            return self._dn[k][a - lo, b - lo]
+        return self._m[self.size - 1 - a, b - hi]
 
     def pair(self, a: int, b: int):
-        """`scores` of one pair; from w while N does not exist, so N is not
-        built for it."""
-        if self._n2 is not None:
-            return self.scores(a, b)
-        w = self._diff(a, b)
-        r, bsq = w[a] - w[b], w @ w
+        """R, B^2 and delta of the local pair a < b: from M and N once N
+        exists, else from w, so N is not built for it."""
+        if self._n2 is None:
+            w = self._diff(a, b)
+            r, bsq = w[a] - w[b], w @ w
+        else:
+            m = self._m
+            r = m[a, a] + m[b, b] - 2.0 * m[a, b]
+            bsq = self._n_at(a, a) + self._n_at(b, b) - 2.0 * self._n_at(a, b)
         return r, bsq, self.size * bsq / (1.0 + r)
 
     def _scan_setup(self):
@@ -380,8 +359,9 @@ class _Component:
 
 
 class ResistanceState:
-    """Single-writer cache. pair_scores/all_pair_scores change no value a
-    caller can read, though they may apply pending insertions or build N."""
+    """Single-writer cache. pair_scores writes nothing; best_candidate may
+    apply pending insertions and build N, which changes no value a caller
+    can read."""
 
     def __init__(self, g: gr.Graph):
         self.original = g
@@ -418,17 +398,6 @@ class ResistanceState:
         bsq, cc = c.insert(a, b)
         self.rtot -= c.size * bsq * cc
         self.added_edges.append((min(u, v), max(u, v)))
-
-    def all_pair_scores(self):
-        """One row (u, v, R, Bsq, delta) per same-component non-edge,
-        sorted lexicographically by (u, v)."""
-        rows = []
-        for c in self.comps:
-            a, b = np.nonzero(c.cand)
-            rows += zip(c.verts[a].tolist(), c.verts[b].tolist(),
-                        *(x.tolist() for x in c.scores(a, b)))
-        rows.sort(key=lambda t: (t[0], t[1]))
-        return rows
 
     def best_candidate(self):
         """(u, v, R, Bsq, delta) for the lexicographically first (u, v)

@@ -217,7 +217,7 @@ def brute_force_optimal(g: gr.Graph, k: int, cap: int = BRUTE_FORCE_CAP):
 def delta_table(g: gr.Graph) -> dict[tuple[int, int], float]:
     """Exact total-resistance decrease for every same-component non-edge."""
     state = ResistanceState(g)
-    return {(u, v): d for u, v, _, _, d in state.all_pair_scores()}
+    return {(u, v): state.pair_scores(u, v)[2] for u, v in rw.same_component_non_edges(g)}
 
 
 def nonmonotonicity_witness(g: gr.Graph, margin: float = 1e-9):
@@ -379,7 +379,10 @@ def suite_p20_nonmonotonicity(seed: int = 0, tolerance: float = 1e-6) -> SuiteRe
     detail = f"{len(increased)} edges increased"
     worst = float("inf")
     if increased:
-        e = min(increased, key=lambda x: abs(before[x] - 91 / 3))
+        # (0, 2) and its mirror image (17, 19) both rise from exactly 91/3:
+        # take the first edge within tolerance, not the one roundoff favours
+        e = next((x for x in increased if abs(before[x] - 91 / 3) <= tolerance),
+                 min(increased, key=lambda x: abs(before[x] - 91 / 3)))
         recompute = sp.total_resistance(g1) - sp.total_resistance(g1.with_edges([e]))
         worst = max(
             abs(before[e] - 91 / 3),

@@ -5,6 +5,7 @@ import pytest
 from reswire import (
     BipartiteGraphError,
     BoundParams,
+    DisconnectedGraphError,
     build_graph,
     jacobian_bound_adjacency,
     jacobian_bound_resistance,
@@ -157,6 +158,12 @@ class TestAggregateBounds:
             assert total_jacobian_bound(g, p) <= (
                 spectral_gap_jacobian_bound(g, p) + 1e-9
             )
+
+    @pytest.mark.parametrize("bound", [total_jacobian_bound, spectral_gap_jacobian_bound])
+    def test_disconnected_rejected(self, bound):
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(DisconnectedGraphError):
+            bound(two_triangles, BoundParams())
 
     def test_triangle_ordering(self, triangle):
         p = BoundParams(r=0)

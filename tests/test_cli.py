@@ -124,6 +124,22 @@ class TestRewire:
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
 
+    def test_same_stem_exit_2(self, tmp_path, monkeypatch, capsys):
+        # outputs are named by the input's stem, so a.csv and a.txt would
+        # write one a.rewired.el: no input runs and nothing is written
+        d = tmp_path / "in"
+        d.mkdir()
+        (d / "a.csv").write_text(P5)
+        (d / "a.txt").write_text("0 1\n1 2\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(rw, "rewire", lambda *args, **kwargs: pytest.fail("ran an input"))
+        out = tmp_path / "out"
+        assert main(["rewire", "--input-dir", str(d), "--k", "1", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: \S*a\.csv and \S*a\.txt [^\n]*\n", captured.err)
+        assert not out.exists()
+
 
 class TestBounds:
     def test_triangle_all_families(self, tmp_path, capsys):
@@ -141,6 +157,15 @@ class TestBounds:
         path = tmp_path / "c4.el"
         path.write_text(C4)
         assert main(["bounds", "--input", str(path)]) == 3
+
+    def test_disconnected_exit_2(self, tmp_path, capsys):
+        # two triangles: not bipartite, but the aggregate bounds need one component
+        path = tmp_path / "two-k3.el"
+        path.write_text(TRIANGLE + "3 4\n4 5\n3 5\n")
+        assert main(["bounds", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*connected graph\n", captured.err)
 
     @pytest.mark.parametrize("pair", [("-1", "3"), ("0", "9"), ("5", "0")])
     def test_pair_out_of_range_exit_2(self, tmp_path, capsys, pair):
@@ -275,6 +300,8 @@ class TestCurve:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2
+        # no input given at all
+        assert main(["rewire", "--k", "1"]) == 2
 
     @pytest.mark.parametrize("command", ["curve", "rewire"])
     @pytest.mark.parametrize("missing", ["nope", "p5.el"])
@@ -435,6 +462,10 @@ class TestFanOut:
                 pytest.raises(ValueError, match=r"boom in process (\d+)") as exc:
             main(["curve", "--input-dir", str(batch_dir), "--k", "3"])
         assert str(exc.value) != f"boom in process {parent}"
+        # the worker's stack comes along as the cause, down to the patched rewire
+        cause = str(exc.value.__cause__)
+        assert re.search(r'test_cli\.py", line \d+, in rewire\n', cause)
+        assert cause.rstrip('"\n').endswith(str(exc.value))
         assert _blas_threads() == threads
 
     @pytest.mark.parametrize("leave", [KeyboardInterrupt, SystemExit])
@@ -515,9 +546,11 @@ class TestVerify:
         assert "--tolerance" in captured.err
 
     def test_smallest_sizes_run(self, capsys):
-        for suite in ("theorem-delta", "series", "trace-identity"):
+        suites = ("theorem-delta", "series", "trace-identity", "triple-route",
+                  "rayleigh-monotonicity", "bound-ordering")
+        for suite in suites:
             assert main(["verify", "--suite", suite, "--n", "4", "--trials", "1"]) == 0
-        assert capsys.readouterr().out.count("PASS") == 3
+        assert capsys.readouterr().out.count("PASS") == len(suites)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_woodbury_tolerance_matches_printed_deviation(self, seed, capsys):

@@ -51,14 +51,24 @@ class TestParsing:
     def test_self_loop_rejected_with_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             from_edge_list("0 1\n0 0")
+        with pytest.raises(EdgeListParseError, match="self-loop at vertex 1"):
+            build_graph(3, [(0, 1), (1, 1)])
 
     def test_non_integer_token(self):
         with pytest.raises(EdgeListParseError, match="non-integer"):
             from_edge_list("0 x")
+        with pytest.raises(EdgeListParseError, match="bad vertex-count header"):
+            from_edge_list("n=x\n0 1\n")
+        with pytest.raises(EdgeListParseError, match="line 2: expected two integer tokens"):
+            from_edge_list("0 1\n2\n")
 
     def test_negative_index(self):
         with pytest.raises(EdgeListParseError, match="negative"):
             from_edge_list("0 -1")
+        with pytest.raises(EdgeListParseError, match="negative vertex count"):
+            from_edge_list("n=-1\n")
+        with pytest.raises(EdgeListParseError, match="negative vertex index"):
+            build_graph(3, [(0, -1)])
 
     def test_comments_and_blank_lines(self):
         g = from_edge_list("# a comment\n\n0 1\n")
@@ -72,6 +82,8 @@ class TestParsing:
     def test_header_too_small(self):
         with pytest.raises(EdgeListParseError):
             from_edge_list("n=2\n0 3\n")
+        with pytest.raises(EdgeListParseError, match="out of range for n=2"):
+            build_graph(2, [(0, 3)])
 
     def test_roundtrip_with_type_column(self):
         g = build_graph(3, [(0, 1), (1, 2)])

@@ -506,6 +506,36 @@ class TestExtremeEigenvalues:
             mu = max(abs(mu_all[0]), abs(mu_all[-2]))
             assert mu <= mu_bound(g) <= mu * (1 + 1e-9)
 
+    def test_blocked_certificate(self, fresh_memo):
+        """More than CHOLESKY_ROWS non-isolated vertices: the certificate's
+        Cholesky updates its trailing rows block by block."""
+        g = disjoint_union(random_nonbipartite_connected_graph(random.Random(5), 300),
+                           build_graph(3, []))
+        mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
+        mu = max(abs(mu_all[0]), abs(mu_all[-2]))
+        assert mu <= mu_bound(g) <= mu * (1 + 1e-9)
+
+    def test_failed_certificate_retried(self, monkeypatch, fresh_memo):
+        """Ritz values that under-read mu make the first Cholesky fail; the
+        retry at a larger t still certifies a bound above mu."""
+        lanczos, margin, margins = sp._lanczos, sp._cholesky_margin, []
+
+        def low(*args, **kwargs):
+            lo, hi, res = lanczos(*args, **kwargs)
+            return 0.5 * lo, 0.5 * hi, 0.0
+
+        def recorded(a):
+            margins.append(margin(a))
+            return margins[-1]
+
+        monkeypatch.setattr(sp, "_lanczos", low)
+        monkeypatch.setattr(sp, "_cholesky_margin", recorded)
+        g = random_nonbipartite_connected_graph(random.Random(6), 40)
+        mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
+        mu = max(abs(mu_all[0]), abs(mu_all[-2]))
+        assert mu <= mu_bound(g) <= 1.0
+        assert margins[0] is None and margins[-1] is not None
+
     def test_two_components_reject_resistance_bound(self):
         rng = random.Random(4)
         for _ in range(20):

@@ -28,6 +28,7 @@ from reswire.state import _anti_transpose_lower, _Component
 from reswire.verify import (
     complete_graph,
     cycle_graph,
+    delta_table,
     path_graph,
     random_connected_graph,
     random_non_edge,
@@ -134,10 +135,15 @@ class TestPairScores:
             ResistanceState(two_k2).pair_scores(0, 2)
 
     def test_positive_delta(self):
+        # from w, then from M and N once a scan has built N
         for g in random_graphs(31, 5, 4, 15):
             s = ResistanceState(g)
-            for _, _, r, bsq, delta in s.all_pair_scores():
-                assert r > 0 and bsq > 0 and delta > 0
+            for scan in (False, True):
+                if scan:
+                    s.best_candidate()
+                for u, v in same_component_non_edges(g):
+                    r, bsq, delta = s.pair_scores(u, v)
+                    assert r > 0 and bsq > 0 and delta > 0
 
 
 class TestApplyEdge:
@@ -178,19 +184,20 @@ class TestApplyEdge:
 
 
 class TestAllPairScores:
+    """`verify.delta_table`: the delta of every same-component non-edge,
+    read through `pair_scores`."""
+
     def test_k2_empty(self, k2):
-        assert ResistanceState(k2).all_pair_scores() == []
+        assert delta_table(k2) == {}
 
     def test_p3_single_row(self):
-        rows = ResistanceState(path_graph(3)).all_pair_scores()
-        assert len(rows) == 1
-        assert rows[0][:2] == (0, 2)
+        assert list(delta_table(path_graph(3))) == [(0, 2)]
 
     def test_row_count(self):
         from reswire.graph import components
 
         for g in random_graphs(41, 5, 4, 20):
-            rows = ResistanceState(g).all_pair_scores()
+            rows = delta_table(g)
             expected = 0
             for verts, _ in components(g):
                 nc = len(verts)
@@ -202,10 +209,32 @@ class TestAllPairScores:
             assert len(rows) == expected
 
     def test_rows_match_pair_scores(self, p5):
-        s = ResistanceState(p5)
-        for u, v, r, bsq, delta in s.all_pair_scores():
-            r2, bsq2, d2 = s.pair_scores(u, v)
-            assert (r, bsq, delta) == pytest.approx((r2, bsq2, d2), abs=1e-12)
+        # scores from M and N, once a scan has built N, against those from
+        # w of a state without N, as delta_table reads them; the 200-vertex
+        # component shares one array between M and N
+        rng = random.Random(59)
+        for g in (p5, _union(rng, [7, 200])):
+            built, fresh = ResistanceState(g), ResistanceState(g)
+            built.best_candidate()
+            table, pairs = delta_table(g), same_component_non_edges(g)
+            assert list(table) == pairs
+            for u, v in rng.sample(pairs, min(len(pairs), 400)):
+                scores = built.pair_scores(u, v)
+                assert scores == pytest.approx(fresh.pair_scores(u, v), abs=1e-12)
+                assert scores[2] == pytest.approx(table[u, v], abs=1e-12)
+            assert all(c._n2 is not None for c in built.comps)
+            assert all(c._n2 is None for c in fresh.comps)
+
+
+def _dense_scores(c):
+    """(a, b, [R, B^2, delta]) of every candidate a < b of the component,
+    from the `m` and `n2` copies: the entries and the arithmetic that
+    `pair` reads once N exists, so the values are the same bits."""
+    n2, m = c.n2, c.m
+    a, b = np.nonzero(c.cand)
+    r = m[a, a] + m[b, b] - 2.0 * m[a, b]
+    bsq = n2[a, a] + n2[b, b] - 2.0 * n2[a, b]
+    return a, b, np.array([r, bsq, c.size * bsq / (1.0 + r)])
 
 
 def _reference_best(s):
@@ -267,8 +296,7 @@ class TestTieBand:
         # exact ties: within 1e-9 relative of the maximum, as the benchmark's
         # oracle; one component, so row-major order is (u, v) order
         (c,) = ResistanceState(g).comps
-        a, b = np.nonzero(c.cand)
-        delta = c.scores(a, b)[2]
+        a, b, (_, _, delta) = _dense_scores(c)
         first = int(np.argmax(delta >= delta.max() * (1 - 1e-9)))
         assert ResistanceState(g).best_candidate()[:2] == (a[first], b[first])
 
@@ -334,9 +362,10 @@ class TestPackedLayout:
             assert c._n2 is not None
             assert np.max(np.abs(c.m - f.m)) <= 1e-12
             assert np.max(np.abs(c.n2 - f.n2)) <= 1e-12
-            a, b = np.nonzero(c.cand)
-            scores, ref = np.array(c.scores(a, b)), np.array(f.scores(a, b))
-            assert np.allclose(scores, ref, rtol=1e-9, atol=0)
+            a, b, scores = _dense_scores(c)
+            assert np.allclose(scores, _dense_scores(f)[2], rtol=1e-9, atol=0)
+            for i in rng.sample(range(len(a)), min(len(a), 200)):
+                assert c.pair(a[i], b[i]) == tuple(scores[:, i])
             best = max(best, scores[2].max())
             firsts.append((c, a, b, scores))
         # the band contract, from the scores of every pair
@@ -450,9 +479,12 @@ class TestDelayed:
         s = ResistanceState(_union(rng, [9, 14]))
         _random_insertions(s, rng, 30)
         # the delayed scores match M and N of a state built from scratch
-        for u, v, *scores in ResistanceState(s.current_graph()).all_pair_scores():
-            assert s.pair_scores(u, v) == pytest.approx(tuple(scores), rel=1e-9)
+        fresh = ResistanceState(s.current_graph())
+        fresh.best_candidate()
+        for u, v in same_component_non_edges(s.current_graph()):
+            assert s.pair_scores(u, v) == pytest.approx(fresh.pair_scores(u, v), rel=1e-9)
         assert all(c._n2 is None for c in s.comps)
+        assert all(c._n2 is not None for c in fresh.comps)
 
     def test_best_candidate_after_delayed_insertions(self):
         rng = random.Random(43)
