@@ -24,20 +24,8 @@ from . import spectral as sp
 from .errors import BipartiteGraphError, EdgeListParseError, ReswireError
 
 
-def _fmt(x):
-    """17-significant-digit floats for lossless round-trips; containers
-    handled recursively."""
-    if isinstance(x, float):
-        return float(format(x, ".17g"))
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    return x
-
-
 def _dump_json(obj, path=None):
-    _write_text(json.dumps(_fmt(obj), indent=2) + "\n", path)
+    _write_text(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _write_text(text, path=None):
@@ -45,6 +33,23 @@ def _write_text(text, path=None):
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _writable(paths, make_parents=False) -> bool:
+    """Whether each output file in `paths` can be created, else print one
+    error line naming the first that cannot: it is a directory, or its
+    directory is not an existing directory (with make_parents, the nearest
+    of its ancestors that exists is not a directory). Checked before any
+    input runs, so a bad --output costs no work and writes nothing."""
+    for path in map(Path, paths):
+        parent = path.parent
+        while make_parents and not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+        if path.is_dir() or not parent.is_dir():
+            reason = "it is a directory" if path.is_dir() else f"{parent} is not a directory"
+            print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+            return False
+    return True
 
 
 def _load_graph(path) -> gr.Graph:
@@ -74,14 +79,24 @@ def cmd_rewire(args) -> int:
     inputs = _gather_inputs(args)
     if inputs is None:
         return 2
-    if args.output and len(inputs) > 1:  # outputs are named by the input's stem
-        stems = {}
-        for path in inputs:
-            other = stems.setdefault(Path(path).stem, path)
+    written = {}  # input -> (edge-list path, plan path)
+    if args.output:
+        out = Path(args.output)
+        if len(inputs) == 1:
+            written = {inputs[0]: (out, out.with_suffix(out.suffix + ".plan.json"))}
+        else:  # named by the input's stem
+            written = {path: (out / f"{Path(path).stem}.rewired.el",
+                              out / f"{Path(path).stem}.plan.json") for path in inputs}
+        writers = {}
+        for path, (edge_path, _) in written.items():
+            other = writers.setdefault(edge_path, path)
             if other != path:
-                print(f"error: {other} and {path} would both write "
-                      f"{Path(args.output) / Path(path).stem}.rewired.el", file=sys.stderr)
+                print(f"error: {other} and {path} would both write {edge_path}",
+                      file=sys.stderr)
                 return 2
+        if not _writable([p for pair in written.values() for p in pair],
+                         make_parents=len(inputs) > 1):
+            return 2
 
     def outputs(path, g, plan):
         return _plan_payload(path, plan), args.output and gr.to_edge_list(g, plan.edge_list())
@@ -95,15 +110,8 @@ def cmd_rewire(args) -> int:
             continue
         payload, edge_text = kept
         if args.output:
-            out = Path(args.output)
-            if len(inputs) > 1:
-                out.mkdir(parents=True, exist_ok=True)
-                stem = Path(path).stem
-                edge_path = out / f"{stem}.rewired.el"
-                plan_path = out / f"{stem}.plan.json"
-            else:
-                edge_path = out
-                plan_path = out.with_suffix(out.suffix + ".plan.json")
+            edge_path, plan_path = written[path]
+            edge_path.parent.mkdir(parents=True, exist_ok=True)
             edge_path.write_text(edge_text)
             _dump_json(payload, plan_path)
         else:
@@ -113,6 +121,8 @@ def cmd_rewire(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.output and not _writable([args.output]):
+        return 2
     try:
         g = _load_graph(args.input)
     except (OSError, EdgeListParseError) as exc:
@@ -136,6 +146,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.output and not _writable([args.output]):
+        return 2
     try:
         g = _load_graph(args.input)
     except (OSError, EdgeListParseError) as exc:
@@ -370,7 +382,7 @@ def _plans(inputs, args, keep):
 
 def cmd_curve(args) -> int:
     inputs = _gather_inputs(args)
-    if inputs is None:
+    if inputs is None or args.output and not _writable([args.output]):
         return 2
     trajectories = []
     for _, error, trajectory in _plans(inputs, args, lambda path, g, plan: plan.rtot_trajectory):

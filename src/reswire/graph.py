@@ -150,11 +150,7 @@ def to_edge_list(g: Graph, added=()) -> str:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    d = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edges:
-        d[u] += 1
-        d[v] += 1
-    return d
+    return np.bincount(_edge_array(g).ravel(), minlength=g.n)
 
 
 def _edge_array(g: Graph) -> np.ndarray:

@@ -33,7 +33,10 @@ class RewirePlan:
     added: list[AddedEdge]
     rtot_trajectory: list[float]
     seed: int | None = None
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.added) < self.k
 
     @property
     def rtot_initial(self) -> float:
@@ -95,59 +98,45 @@ class _MaskedCandidates:
         return u, int(c.verts[b])
 
 
-def gtr(g: gr.Graph, k: int) -> RewirePlan:
-    """Greedily add k edges, each maximizing B^2/(1+R) over all
-    same-component non-edges. Ties break lexicographically by (u, v)."""
+def _plan(g: gr.Graph, k: int, picks, exhausted: str, method: str,
+          seed: int | None = None) -> RewirePlan:
+    """Add up to k edges to `g`, each the next (u, v, R, B^2, Delta) that
+    `picks(state)` yields for the current state. A plan cut short by the
+    end of the picks warns "`exhausted` after ... plan truncated", naming
+    the caller of `gtr`/`random_baseline`."""
     if k < 0:
         raise ValueError("k must be non-negative")
     state = ResistanceState(g)
-    added: list[AddedEdge] = []
-    trajectory = [state.rtot]
-    truncated = False
-    for _ in range(k):
-        cand = state.best_candidate()
-        if cand is None:
-            warnings.warn(
-                f"all components complete after {len(added)} of {k} edges; "
-                "plan truncated", stacklevel=2
-            )
-            truncated = True
-            break
-        u, v, r, bsq, delta = cand
+    plan = RewirePlan(method=method, k=k, added=[], rtot_trajectory=[state.rtot],
+                      seed=seed)
+    for u, v, r, bsq, delta in itertools.islice(picks(state), k):
         state.apply_edge(u, v)
-        added.append(AddedEdge(u, v, r, bsq, delta))
-        trajectory.append(state.rtot)
-    return RewirePlan(method="gtr", k=k, added=added,
-                      rtot_trajectory=trajectory, truncated=truncated)
+        plan.added.append(AddedEdge(u, v, r, bsq, delta))
+        plan.rtot_trajectory.append(state.rtot)
+    if plan.truncated:
+        warnings.warn(f"{exhausted} after {len(plan.added)} of {k} edges; "
+                      "plan truncated", stacklevel=3)
+    return plan
+
+
+def gtr(g: gr.Graph, k: int) -> RewirePlan:
+    """Greedily add k edges, each maximizing B^2/(1+R) over all
+    same-component non-edges. Ties break lexicographically by (u, v)."""
+    return _plan(g, k, lambda state: iter(state.best_candidate, None),
+                 "all components complete", "gtr")
 
 
 def random_baseline(g: gr.Graph, k: int, seed: int) -> RewirePlan:
     """Add k uniformly random same-component non-edges, sequentially
     without replacement, scoring through the same state machinery."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    rng = random.Random(seed)
-    state = ResistanceState(g)
-    added: list[AddedEdge] = []
-    trajectory = [state.rtot]
-    truncated = False
-    candidates = same_component_non_edges(g, state=state)
-    for _ in range(k):
-        if not candidates:
-            warnings.warn(
-                f"no candidates left after {len(added)} of {k} edges; "
-                "plan truncated", stacklevel=2
-            )
-            truncated = True
-            break
-        u, v = candidates.pop(rng.randrange(len(candidates)))
-        r, bsq, delta = state.pair_scores(u, v)
-        state.apply_edge(u, v)
-        added.append(AddedEdge(u, v, r, bsq, delta))
-        trajectory.append(state.rtot)
-    return RewirePlan(method="random", k=k, added=added,
-                      rtot_trajectory=trajectory, seed=seed,
-                      truncated=truncated)
+    def picks(state):
+        rng = random.Random(seed)
+        candidates = same_component_non_edges(g, state=state)
+        while candidates:
+            u, v = candidates.pop(rng.randrange(len(candidates)))
+            yield u, v, *state.pair_scores(u, v)
+
+    return _plan(g, k, picks, "no candidates left", "random", seed)
 
 
 def rewire(g: gr.Graph, k: int, method: str = "gtr", seed: int = 0) -> RewirePlan:

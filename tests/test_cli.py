@@ -33,6 +33,28 @@ def p5_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def g30_file(tmp_path):
+    """A random connected 30-vertex graph, whose scores carry all 17 digits."""
+    g = random_connected_graph(random.Random(9), 30)
+    path = tmp_path / "g30.el"
+    path.write_text(f"n={g.n}\n" + _edge_text(g.edges))
+    return g, path
+
+
+def _assert_unwritable(argv, named, tmp_path, monkeypatch, capsys):
+    """main(argv) exits 2 with one error line naming `named`, before it
+    reads any input, and writes nothing."""
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "_load_graph", lambda path: pytest.fail("read an input"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: [^\n]*{re.escape(str(named))}[^\n]*\n", captured.err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestStats:
     def test_p5(self, p5_file, capsys):
         assert main(["stats", "--input", str(p5_file)]) == 0
@@ -66,6 +88,21 @@ class TestStats:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["stats", "--input", str(tmp_path / "nope.el")]) == 2
+        assert main(["bounds", "--input", str(tmp_path / "nope.el")]) == 2
+
+    def test_unwritable_output_exit_2(self, p5_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "nodir" / "s.json"
+        _assert_unwritable(["stats", "--input", str(p5_file), "--output", str(out)],
+                           out, tmp_path, monkeypatch, capsys)
+
+    def test_json_floats_exact(self, g30_file, capsys):
+        # json writes each float by repr, which reads back as the same double
+        g, path = g30_file
+        assert main(["stats", "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        want = {"rtot": sp.total_resistance(g), "spectral_gap": sp.spectral_gap(g),
+                "rmax": sp.rmax(g)}
+        assert {key: out[key] for key in want} == want
 
 
 class TestRewire:
@@ -140,6 +177,31 @@ class TestRewire:
         assert re.fullmatch(r"error: \S*a\.csv and \S*a\.txt [^\n]*\n", captured.err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("output, input_dir", [
+        ("nodir/x.el", False),  # no such directory
+        ("p5.el/x.el", False),  # a file where the directory belongs
+        ("p5.el", True),  # a file where the directory of a batch's outputs belongs
+    ])
+    def test_unwritable_output_exit_2(self, p5_file, tmp_path, monkeypatch, capsys,
+                                      output, input_dir):
+        d = tmp_path / "in"
+        d.mkdir()
+        for name in ("a.el", "b.el"):
+            (d / name).write_text(P5)
+        source = ["--input-dir", str(d)] if input_dir else ["--input", str(p5_file)]
+        out = tmp_path / output
+        _assert_unwritable(["rewire", *source, "--k", "1", "--output", str(out)],
+                           out, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("method", ["gtr", "random"])
+    def test_json_floats_exact(self, g30_file, capsys, method):
+        # json writes each float by repr, which reads back as the same double
+        g, path = g30_file
+        assert main(["rewire", "--input", str(path), "--k", "5", "--method", method]) == 0
+        plan = rw.rewire(g, 5, method=method, seed=0)
+        assert len(plan.added) == 5
+        assert json.loads(capsys.readouterr().out) == cli._plan_payload(str(path), plan)
+
 
 class TestBounds:
     def test_triangle_all_families(self, tmp_path, capsys):
@@ -199,6 +261,11 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: bound overflows a float[^\n]*\n", captured.err)
+
+    def test_unwritable_output_exit_2(self, p5_file, tmp_path, monkeypatch, capsys):
+        out = p5_file / "b.json"
+        _assert_unwritable(["bounds", "--input", str(p5_file), "--output", str(out)],
+                           out, tmp_path, monkeypatch, capsys)
 
     def test_r0_pair_adjacency_zero(self, tmp_path, capsys):
         path = tmp_path / "k3.el"
@@ -302,6 +369,16 @@ class TestCurve:
         assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2
         # no input given at all
         assert main(["rewire", "--k", "1"]) == 2
+        # no readable input
+        (empty / "bad.el").write_text("0 0\n")
+        assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("output", ["nodir/c.csv", "."])
+    def test_unwritable_output_exit_2(self, p5_file, tmp_path, monkeypatch, capsys, output):
+        # no such directory, or a directory where the file belongs
+        out = tmp_path / output
+        _assert_unwritable(["curve", "--input-dir", str(tmp_path), "--k", "1",
+                            "--output", str(out)], out, tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("command", ["curve", "rewire"])
     @pytest.mark.parametrize("missing", ["nope", "p5.el"])

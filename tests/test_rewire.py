@@ -8,6 +8,7 @@ from reswire import (
     build_graph,
     gtr,
     random_baseline,
+    rewire,
     same_component_non_edges,
     total_resistance,
 )
@@ -35,6 +36,12 @@ class TestGtr:
         plan = gtr(p5, 0)
         assert plan.added == []
         assert plan.rtot_trajectory == [pytest.approx(20)]
+        assert not plan.truncated
+        for k, method in ((-1, "gtr"), (1, "x")):
+            with pytest.raises(ValueError):
+                rewire(p5, k, method=method)
+        with pytest.raises(ValueError):
+            gtr(p5, -1)
 
     def test_trajectory_strictly_decreasing(self):
         rng = random.Random(3)
@@ -53,10 +60,13 @@ class TestGtr:
             assert step == pytest.approx(e.delta, rel=1e-6)
 
     def test_truncates_on_complete_graph(self):
-        with pytest.warns(UserWarning, match="truncated"):
-            plan = gtr(complete_graph(4), 3)
-        assert plan.added == []
-        assert plan.truncated
+        for plan_k3 in (lambda g: gtr(g, 3), lambda g: random_baseline(g, 3, seed=0)):
+            with pytest.warns(UserWarning, match="truncated") as caught:
+                plan = plan_k3(complete_graph(4))
+            assert plan.added == []
+            assert plan.truncated
+            # the warning names the line that asked for the plan
+            assert caught[0].filename == __file__
 
     def test_added_edges_within_original_component(self, two_k2):
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -175,6 +185,8 @@ class TestRandomBaseline:
     def test_k0(self, p5):
         plan = random_baseline(p5, 0, seed=0)
         assert plan.added == []
+        with pytest.raises(ValueError):
+            random_baseline(p5, -1, seed=0)
 
     def test_edges_within_component(self):
         g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])

@@ -121,12 +121,16 @@ class TestRegularizedInverse:
             ref = np.linalg.inv(a)
             assert np.max(np.abs(m - ref)) <= tol * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("row, blocks", [(10, [128]), (150, [128, 72])])
+    @pytest.mark.parametrize("row, blocks", [(10, [128]), (150, [128, 72]), (None, [128, 72])])
     def test_failed_pivot_raises(self, monkeypatch, row, blocks):
         """A pivot that is not positive, in the first diagonal block or in
-        a later one, is an IllConditionedError, not a LinAlgError."""
+        a later one, is an IllConditionedError, not a LinAlgError; so is
+        (row None) an rcond bound below RCOND_LIMIT after every pivot passed."""
         lap = laplacian(random_connected_graph(random.Random(5), 200, 0.05))
-        lap[row, row] = -1.0  # A is no longer positive definite
+        if row is None:
+            monkeypatch.setattr(sp, "RCOND_LIMIT", 1.0)  # the bound is below 1 here
+        else:
+            lap[row, row] = -1.0  # A is no longer positive definite
         factored, cholesky = [], np.linalg.cholesky
 
         def counted(a):
@@ -318,9 +322,14 @@ class TestSpectralQuantities:
     def test_spectral_gap_disconnected(self, two_k2):
         with pytest.raises(DisconnectedGraphError):
             spectral_gap(two_k2)
+        with pytest.raises(DisconnectedGraphError):
+            rmax(two_k2)
 
     def test_mu_bound_bipartite_is_one(self, c4):
         assert mu_bound(c4) == pytest.approx(1)
+
+    def test_mu_bound_edgeless_is_zero(self):
+        assert mu_bound(build_graph(3, [])) == 0.0
 
     def test_rmax_p7(self):
         g = path_graph(7)
