@@ -12,8 +12,9 @@ M itself is formed without an LU solve: L + 11^T/n is symmetric positive
 definite on a connected component, so `regularized_inverse_dense` factors it
 as C C^T and inverts C in the Laplacian's own storage (one recursive pass),
 then forms M = C^{-T} C^{-1} there too (recursive lauum), exactly
-symmetric. The set-up then holds the Laplacian's n^2 doubles plus one
-ceil(n/2)^2 workspace, where an LU inverse needs 4 n^2. The independent
+symmetric. Every product goes a panel of CHOLESKY_ROWS rows at a time, so
+the set-up holds the Laplacian's n^2 doubles plus one CHOLESKY_ROWS * n
+workspace, where an LU inverse needs 4 n^2. The independent
 routes to the same quantities (pseudoinverses, minimum-norm flows, the power
 series) live in `verify`.
 
@@ -60,20 +61,27 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
     potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
     C C^T and C^{-1} in place (`_factor_inverse`), then M = C^{-T} C^{-1}
-    in place (`_lauum`), exactly symmetric. Beside `lap` the route holds
-    one workspace of ceil(n/2)^2 doubles, none when n <= CHOLESKY_ROWS.
+    in place (`_lauum`, then one blocked mirror), exactly symmetric. Every
+    product goes a panel of CHOLESKY_ROWS rows at a time, so beside `lap`
+    the route holds one workspace of CHOLESKY_ROWS * n doubles, none when
+    n <= CHOLESKY_ROWS.
     IllConditionedError if a pivot is not positive, or if M is not finite
     or the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
     n = len(lap)
     lap += 1.0 / n
     norm_a = _inf_norm(lap)  # before the factor overwrites A
-    work = np.empty(((n + 1) // 2) ** 2) if n > CHOLESKY_ROWS else None
+    work = np.empty(CHOLESKY_ROWS * n) if n > CHOLESKY_ROWS else None
     try:
         _factor_inverse(lap, work)
     except np.linalg.LinAlgError:
         raise IllConditionedError("regularized Laplacian is not positive definite") from None
     _lauum(lap, work)
     del work  # not kept alive by the traceback of an rcond error
+    if n > CHOLESKY_ROWS:  # the panels wrote the lower triangle: mirror it up
+        for r0, r1 in _panels(n):
+            d = lap[r0:r1, r0:r1]
+            d[...] = np.tril(d) + np.tril(d, -1).T
+            lap[r0:r1, r1:] = lap[r1:, r0:r1].T
     rcond = 1.0 / (norm_a * _inf_norm(lap))
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
@@ -85,8 +93,8 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
 def _inf_norm(x: np.ndarray) -> float:
     """||x||_inf (largest absolute row sum), block of rows by block of rows;
     NaN or inf if x is not finite."""
-    return max(float(np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max())
-               for i in range(0, len(x), BLOCK_ROWS))
+    return float(np.max([np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max()
+                         for i in range(0, len(x), BLOCK_ROWS)]))
 
 
 def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -94,13 +102,20 @@ def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return work[:rows * cols].reshape(rows, cols)
 
 
+def _panels(rows: int) -> list[tuple[int, int]]:
+    """(first row, end row) of each CHOLESKY_ROWS-row panel of `rows` rows."""
+    return [(r0, min(r0 + CHOLESKY_ROWS, rows)) for r0 in range(0, rows, CHOLESKY_ROWS)]
+
+
 def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
     """A = C C^T, then C <- C^{-1}, in place: the lower triangle of `a` (the
     only part read) becomes C^{-1}, zeros above it. 2 x 2 block recursion
     (Gustavson, IBM J. Res. Dev. 41, 1997) split at multiples of
     CHOLESKY_ROWS, whose diagonal blocks are the leaves (np.linalg.cholesky,
-    then `_invert_lower`): X11 = C11^{-1}, C21 = A21 X11^T, A22 -= C21 C21^T,
-    X22 = C22^{-1}, X21 = -X22 C21 X11. LinAlgError if a pivot is not positive."""
+    then `_invert_lower`): X11 = C11^{-1}, C21 = A21 X11^T, A22 -= C21 C21^T
+    (lower triangle), X22 = C22^{-1}, X21 = -X22 C21 X11. Each product is
+    formed a panel of rows at a time through `work`, in an order that reads
+    only rows not yet overwritten. LinAlgError if a pivot is not positive."""
     n = len(a)
     if n <= CHOLESKY_ROWS:
         a[...] = np.linalg.cholesky(a)
@@ -109,19 +124,26 @@ def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
     h = CHOLESKY_ROWS * -(-n // (2 * CHOLESKY_ROWS))
     a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
     _factor_inverse(a11, work)
-    a21[...] = np.matmul(a21, a11.T, out=_work(work, n - h, h))
-    a22 -= np.matmul(a21, a21.T, out=_work(work, n - h, n - h))
+    panels = _panels(n - h)
+    for r0, r1 in panels:
+        a21[r0:r1] = np.matmul(a21[r0:r1], a11.T, out=_work(work, r1 - r0, h))
+    for r0, r1 in panels:
+        a22[r0:r1, :r1] -= np.matmul(a21[r0:r1], a21[:r1].T, out=_work(work, r1 - r0, r1))
     _factor_inverse(a22, work)
-    np.matmul(np.matmul(a22, a21, out=_work(work, n - h, h)), a11, out=a21)
+    for r0, r1 in reversed(panels):  # bottom-up: row r of X22 C21 reads C21's rows <= r
+        x22c21 = np.matmul(a22[r0:r1, :r1], a21[:r1], out=_work(work, r1 - r0, h))
+        np.matmul(x22c21, a11, out=a21[r0:r1])
     np.negative(a21, out=a21)
     a[:h, h:] = 0.0
 
 
 def _lauum(x: np.ndarray, work: np.ndarray | None) -> None:
-    """X <- X^T X in place for a lower-triangular X with zeros above it
-    (LAPACK's lauum, recursive): one syrk up to CHOLESKY_ROWS rows, else
-    M11 = X11^T X11 + X21^T X21 (both syrk), M21 = X22^T X21 = M12^T, then
-    M22 = X22^T X22, so M is exactly symmetric."""
+    """The lower triangle of X^T X in place of a lower-triangular X with
+    zeros above it (LAPACK's lauum, recursive): one syrk up to
+    CHOLESKY_ROWS rows, else M11 = X11^T X11 + X21^T X21 (lower triangle),
+    M21 = X22^T X21 (top-down: its row r reads X21's rows >= r), then
+    M22 = X22^T X22, a panel of rows at a time through `work`. The entries
+    above the diagonal are left stale."""
     n = len(x)
     if n <= CHOLESKY_ROWS:
         x[...] = x.T @ x
@@ -129,9 +151,10 @@ def _lauum(x: np.ndarray, work: np.ndarray | None) -> None:
     h = n // 2
     x11, x21, x22 = x[:h, :h], x[h:, :h], x[h:, h:]
     _lauum(x11, work)
-    x11 += np.matmul(x21.T, x21, out=_work(work, h, h))
-    x21[...] = np.matmul(x22.T, x21, out=_work(work, n - h, h))
-    x[:h, h:] = x21.T
+    for r0, r1 in _panels(h):
+        x11[r0:r1, :r1] += np.matmul(x21[:, r0:r1].T, x21[:, :r1], out=_work(work, r1 - r0, r1))
+    for r0, r1 in _panels(n - h):
+        x21[r0:r1] = np.matmul(x22[r0:, r0:r1].T, x21[r0:], out=_work(work, r1 - r0, h))
     _lauum(x22, work)
 
 

@@ -629,6 +629,22 @@ class TestVerify:
             assert main(["verify", "--suite", suite, "--n", "4", "--trials", "1"]) == 0
         assert capsys.readouterr().out.count("PASS") == len(suites)
 
+    @pytest.mark.parametrize("suite", ["trace-identity", "triple-route", "woodbury"])
+    def test_suite_fails_on_set_up_fault(self, suite, monkeypatch, capsys):
+        """An M off by a relative 1e-6 fails each suite that checks the
+        set-up against a route that does not read M. `theorem-delta` passes
+        under this fault (max deviation 1.38e-7, tolerance 1e-6): both of
+        its sides, Δ and the R_tot difference, read the same M."""
+        inverse = sp.regularized_inverse_dense
+        monkeypatch.setattr(sp, "regularized_inverse_dense",
+                            lambda lap: inverse(lap) * (1.0 + 1e-6))
+        sp._inverses.cache_clear()
+        try:
+            assert main(["verify", "--suite", suite]) == 1
+        finally:
+            sp._inverses.cache_clear()  # no faulty M is left for later tests
+        assert capsys.readouterr().out.startswith(f"FAIL {suite}")
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_woodbury_tolerance_matches_printed_deviation(self, seed, capsys):
         # the printed max deviation covers the M, N and R_tot checks, and

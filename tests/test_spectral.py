@@ -142,6 +142,27 @@ class TestRegularizedInverse:
             regularized_inverse_dense(lap)
         assert factored == blocks
 
+    def test_inf_norm_nan_past_first_block(self):
+        """A NaN propagates from any block of rows, not only the first."""
+        x = np.eye(200)
+        x[150, 3] = np.nan
+        assert np.isnan(sp._inf_norm(x))
+
+    def test_nan_in_m_past_first_block_raises(self, monkeypatch):
+        """M is not finite (a NaN at row 150 of n=200, past the first
+        BLOCK_ROWS rows): the rcond check raises IllConditionedError."""
+        lap = laplacian(random_connected_graph(random.Random(5), 200, 0.05))
+        lauum = sp._lauum
+
+        def planted(x, work):
+            lauum(x, work)
+            if len(x) == len(lap):  # the top call, not the recursion's
+                x[150, 150] = np.nan
+
+        monkeypatch.setattr(sp, "_lauum", planted)
+        with pytest.raises(IllConditionedError):
+            regularized_inverse_dense(lap)
+
     @pytest.mark.parametrize("n", [255, 256, 257, 384, 385, 512, 513, 897])
     def test_split_points(self, n):
         """Sizes on both sides of the recursive splits of the factor (at

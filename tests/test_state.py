@@ -22,6 +22,7 @@ from reswire import (
     total_resistance,
 )
 from reswire import graph as gr
+from reswire import spectral as sp
 from reswire.rewiring import gtr, random_baseline
 from reswire.spectral import _inf_norm
 from reswire.state import _anti_transpose_lower, _Component
@@ -501,6 +502,29 @@ class TestDelayed:
                 s.apply_edge(*best[:2])
 
 
+def _setup_growth_in_child(n: int) -> int:
+    """Bytes of peak resident-set growth of `component_inverses` on a random
+    connected graph of n vertices, read in a child process. The child reads
+    VmHWM, its own peak since exec; ru_maxrss would start at the peak of the
+    test process it was forked from. A first, small set-up warms up BLAS and
+    LAPACK, whose own buffers are not the set-up's."""
+    code = textwrap.dedent(f"""
+        import random
+        from reswire import spectral, verify
+        def peak_kb():
+            with open("/proc/self/status") as f:
+                return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
+        spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
+        g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
+        before = peak_kb()
+        spectral.component_inverses(g)
+        print(peak_kb() - before)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    return int(out.stdout) * 1024
+
+
 class TestMemory:
     """tracemalloc peaks as the benchmark's memory probe takes them: the
     state's own M and N take at most 2 n^2 doubles (n^2 and N's diagonal
@@ -526,52 +550,45 @@ class TestMemory:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_rss_in_child(self):
         """Peak resident-set growth of the set-up at n=1200, read in a child
-        process: LAPACK's work arrays are invisible to tracemalloc. The
-        set-up holds the Laplacian's array, where M is formed, and one
-        ceil(n/2)^2 workspace; an LU inverse (np.linalg.inv) needs 4 n^2.
-        The child reads VmHWM, its own peak since exec; ru_maxrss would
-        start at the peak of the test process it was forked from. A first,
-        small set-up warms up BLAS and LAPACK, whose own buffers are not
-        the set-up's."""
+        process (`_setup_growth_in_child`): LAPACK's work arrays are
+        invisible to tracemalloc. The set-up holds the Laplacian's array,
+        where M is formed, and one CHOLESKY_ROWS * n workspace; an LU
+        inverse (np.linalg.inv) needs 4 n^2."""
         n = 1200
-        code = textwrap.dedent(f"""
-            import random
-            from reswire import spectral, verify
-            def peak_kb():
-                with open("/proc/self/status") as f:
-                    return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
-            spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
-            g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
-            before = peak_kb()
-            spectral.component_inverses(g)
-            print(peak_kb() - before)
-        """)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert int(out.stdout) * 1024 <= 3 * 8 * n ** 2
+        assert _setup_growth_in_child(n) <= 3 * 8 * n ** 2
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_in_laplacian_storage_rss(self):
         """Peak resident-set growth of the set-up at n=1200, read in a child
         as in `test_setup_rss_in_child`: M is formed in the Laplacian's own
-        array beside one ceil(n/2)^2 workspace, so the growth stays below
-        2 n^2 doubles, where a second n x n array for M would exceed it."""
+        array beside one CHOLESKY_ROWS * n workspace, so the growth stays
+        below 2 n^2 doubles, where a second n x n array for M would exceed it."""
         n = 1200
-        code = textwrap.dedent(f"""
-            import random
-            from reswire import spectral, verify
-            def peak_kb():
-                with open("/proc/self/status") as f:
-                    return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
-            spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
-            g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
-            before = peak_kb()
-            spectral.component_inverses(g)
-            print(peak_kb() - before)
-        """)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert int(out.stdout) * 1024 <= 2 * 8 * n ** 2
+        assert _setup_growth_in_child(n) <= 2 * 8 * n ** 2
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_setup_rss_in_child_n2400(self):
+        """Peak resident-set growth of the set-up at n=2400, read in a child
+        as in `test_setup_rss_in_child`: the Laplacian's n^2 doubles, the
+        CHOLESKY_ROWS * n workspace (0.05 n^2 here) and the component split
+        read 1.12 n^2, where a ceil(n/2)^2 workspace read 1.43 n^2."""
+        n = 2400
+        assert _setup_growth_in_child(n) <= 1.15 * 8 * n ** 2
+
+    def test_setup_peak_beside_laplacian(self):
+        """tracemalloc peak of the set-up alone at n=1600, beside the
+        Laplacian it overwrites: every product goes through one
+        CHOLESKY_ROWS * n workspace, so the peak stays within two of them
+        (0.16 n^2), where a ceil(n/2)^2 workspace takes 0.25 n^2."""
+        n = 1600
+        lap = laplacian(random_connected_graph(random.Random(0), n, 0.005))
+        tracemalloc.start()
+        try:
+            sp.regularized_inverse_dense(lap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sp.CHOLESKY_ROWS * n * 8
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_gtr_steps_rss_in_child(self):
