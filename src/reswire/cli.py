@@ -8,13 +8,13 @@ resistance-form bounds).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import pickle
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 
 from . import bounds as bd
@@ -259,16 +259,13 @@ def _blas_thread_calls():
     return calls
 
 
-def _plan(path, args, keep, hand_back=False):
+def _plan(path, args, keep):
     """(error line, None) of an unreadable input, else (None, what `keep`
-    takes of its graph and plan). With hand_back, None for a graph with a
-    component of more than CHOLESKY_ROWS vertices."""
+    takes of its graph and plan)."""
     try:
         g = _load_graph(path)
     except (OSError, EdgeListParseError) as exc:
         return f"error: {path}: {exc}", None
-    if hand_back and max(Counter(g.component_id).values(), default=0) > sp.CHOLESKY_ROWS:
-        return None
     return None, keep(path, g, rw.rewire(g, args.k, method=args.method, seed=args.seed))
 
 
@@ -291,14 +288,13 @@ def _run_share(share, inputs, args, keep):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = _plan(inputs[i], args, keep, hand_back=True)
+                result = _plan(inputs[i], args, keep)
             except Exception as err:
                 import traceback
 
                 exc, trace = err, traceback.format_exc()
-        # a handed-back input warns again when it runs in the caller
         done[i] = result, exc, trace, [(w.message, w.category, w.filename, w.lineno)
-                                       for w in caught if result or exc]
+                                       for w in caught]
         if exc is not None:
             break
     return done
@@ -306,8 +302,8 @@ def _run_share(share, inputs, args, keep):
 
 def _fan_out(inputs, args, keep, workers, blas):
     """Deal the inputs round-robin to `workers` shares and run them at one
-    BLAS thread: share 0 here, each other share in a forked child that
-    pipes back its pickled results. Every child is reaped and the BLAS
+    thread of each `blas`: share 0 here, each other share in a forked child
+    that pipes back its pickled results. Every child is reaped and the BLAS
     thread counts restored before this returns or raises."""
     shares = [range(w, len(inputs), workers) for w in range(workers)]
     threads = [get() for get, _ in blas]
@@ -361,23 +357,23 @@ def _warn_again(message, category, filename, lineno):
 def _plans(inputs, args, keep):
     """(path, error line, what `keep` takes) of each input, in input order.
 
-    With two or more inputs, two or more CPUs and a BLAS whose thread count
-    can be set, the inputs fan out over one process per CPU at one BLAS
-    thread. Graphs with a component of more than CHOLESKY_ROWS vertices
-    run here afterwards, at the configured thread count. Warnings and
-    exceptions surface here in input order, as in a single-process run."""
+    Two or more inputs run at one BLAS thread, if the BLAS thread count
+    can be set, so that their output does not depend on the CPU count; they
+    then fan out over one process per CPU. A single input runs here at the
+    configured thread count. Warnings and exceptions surface here in input
+    order, as in a single-process run."""
+    blas = _blas_thread_calls() if len(inputs) > 1 else []
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blas = _blas_thread_calls() if len(inputs) > 1 and cpus > 1 else []
-    done = _fan_out(inputs, args, keep, min(cpus, len(inputs)), blas) if blas else {}
+    done = _fan_out(inputs, args, keep, min(cpus, len(inputs)) if blas else 1, blas)
     for i, path in enumerate(inputs):
-        result, exc, trace, caught = done.get(i, (None, None, None, ()))
+        result, exc, trace, caught = done[i]
         for w in caught:
             _warn_again(*w)
         if exc is not None:
             if exc.__traceback__ is None:  # unpickled from a worker
                 exc.__cause__ = _WorkerTraceback(trace)
             raise exc
-        yield (path, *(result or _plan(path, args, keep)))
+        yield (path, *result)
 
 
 def cmd_curve(args) -> int:
@@ -392,7 +388,7 @@ def cmd_curve(args) -> int:
         trajectories.append(trajectory)
     if not trajectories:
         return 2
-    if len(trajectories) == 1:
+    if len(inputs) == 1:
         lines = ["edges_added,rtot"]
         for i, r in enumerate(trajectories[0]):
             lines.append(f"{i},{r:.17g}")
@@ -415,10 +411,17 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; "
               f"choose from {sorted(SUITES)}", file=sys.stderr)
         return 2
-    results = run_suites(
-        names, seed=args.seed, trials=args.trials, n_max=args.n,
-        tolerance=args.tolerance,
-    )
+    options = {"--trials": ("trials", args.trials), "--n": ("n_max", args.n),
+               "--tolerance": ("tolerance", args.tolerance)}
+    if args.suite:
+        reads = inspect.signature(SUITES[args.suite]).parameters
+        unread = [opt for opt, (key, val) in options.items()
+                  if val is not None and key not in reads]
+        if unread:  # a usage error, before any suite runs
+            print(f"error: suite {args.suite} does not read {', '.join(unread)}",
+                  file=sys.stderr)
+            return 2
+    results = run_suites(names, seed=args.seed, **dict(options.values()))
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"

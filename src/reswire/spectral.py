@@ -245,6 +245,8 @@ def spectral_gap(g: gr.Graph) -> float:
     roundoff in M sigma_2 is never under-read."""
     if g.num_components != 1:
         raise DisconnectedGraphError("spectral gap requires a connected graph")
+    if g.n == 1:  # L = [0] has no sigma_2
+        raise ValueError("spectral gap requires at least two vertices")
     (_, m), = _inverses(g)
     ritz = _lanczos(lambda x: m @ x - x.mean(), g.n, both=False)
     if ritz is None:

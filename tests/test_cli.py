@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reswire import from_edge_list, is_bipartite, to_edge_list, total_resistance
+from reswire import ResistanceState, from_edge_list, is_bipartite, to_edge_list, total_resistance
 from reswire import cli
 from reswire import rewiring as rw
 from reswire import spectral as sp
+from reswire import verify
 from reswire.cli import main
 from reswire.verify import random_connected_graph
 
@@ -357,6 +358,17 @@ class TestCurve:
         # mean of the three tree pairwise-distance sums: (10+20+35)/3
         assert float(lines[1].split(",")[1]) == pytest.approx(65 / 3)
 
+    def test_batch_format_with_one_readable_input(self, tmp_path, capsys):
+        # two inputs give the batch format, though only one of them parses
+        (tmp_path / "a.el").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "b.el").write_text("0 0\n")
+        assert main(["curve", "--input-dir", str(tmp_path), "--k", "1"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "edges_added,mean_rtot,graph_count"
+        assert lines[1] == "0,10,1" and lines[2].endswith(",1") and len(lines) == 3
+        assert re.fullmatch(r"error: \S*b\.el: [^\n]*\n", captured.err)
+
     def test_negative_k_exit_2(self, p5_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["curve", "--input", str(p5_file), "--k", "-1"])
@@ -399,7 +411,7 @@ def batch_dir(tmp_path):
     """A batch that exercises the fan-out: small graphs, an unparsable file,
     a graph with a 130-vertex component, and two complete graphs whose
     plans truncate with the same warning. File i goes to share i % 2 on
-    two CPUs, so the worker gets the 130-vertex graph and hands it back."""
+    two CPUs, so the worker gets the 130-vertex graph."""
     d = tmp_path / "in"
     d.mkdir()
     k4 = _edge_text((u, v) for u in range(4) for v in range(u + 1, 4))
@@ -484,16 +496,14 @@ class TestFanOut:
             rc, out, err = _run_batch(argv, cpus, monkeypatch, capsys)
             files = {p.name: p.read_bytes() for p in sorted((tmp_path / f"out{cpus}").glob("*"))}
             runs.append((rc, out, err, files))
-            if cpus == 2:
-                # one child; the parent ran its own share (even indices,
-                # 5 readable) at one BLAS thread, then the 133-vertex graph
-                # at the full count
-                assert len(forks) == 1
-                assert [n for _, n, _ in here].count(133) == 1 and len(here) == 6
-                assert all(pid == parent for pid, _, _ in here)
-                assert [t for _, n, t in here if n == 133] == [threads]
-                assert all(t == [1] * len(threads) for _, n, t in here if n != 133)
-                forks.clear()
+            # on two CPUs one child, and the parent runs its own share (even
+            # indices, 5 readable); on one CPU no child, and the parent runs
+            # all 10. Every plan here runs at one BLAS thread
+            assert len(forks) == cpus - 1
+            assert len(here) == (5 if cpus == 2 else 10)
+            assert all(pid == parent for pid, _, _ in here)
+            assert all(t == [1] * len(threads) for _, _, t in here)
+            forks.clear()
             here.clear()
         assert runs[0] == runs[1]
         rc, out, err, files = runs[0]
@@ -503,9 +513,32 @@ class TestFanOut:
         assert len(files) == (0 if not to_dir else 1 if command == "curve" else 2 * 10)
         assert _blas_threads() == threads
 
+    def test_output_independent_of_cpu_count(self, tmp_path, monkeypatch, capsys):
+        # each of these 128-vertex graphs gets different last digits in its
+        # GTR and random plans at 1 and at 2 BLAS threads; a batch runs them
+        # all at one thread, so one CPU writes what two CPUs write
+        batch = tmp_path / "in"
+        batch.mkdir()
+        for s in range(4):
+            g = random_connected_graph(random.Random(s), 128, 0.03)
+            (batch / f"{s}.el").write_text(_edge_text(g.edges))
+        runs = []
+        for cpus in (2, 1):
+            out = tmp_path / f"out{cpus}"
+            printed = [_run_batch([command, "--input-dir", str(batch), "--k", "4",
+                                   "--method", method, *extra], cpus, monkeypatch, capsys)
+                       for method in ("gtr", "random")
+                       for command, extra in (("rewire", ["--output", str(out / method)]),
+                                              ("curve", []))]
+            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+            runs.append((printed, files))
+        assert runs[0] == runs[1]
+        printed, files = runs[0]
+        assert all(rc == 0 and err == "" for rc, _, err in printed)
+        assert len(files) == 2 * 2 * 4
+
     def test_always_filter(self, batch_dir, monkeypatch, capsys):
-        # every warning shows each time it is raised, and a handed-back
-        # graph's parse warning once, though the worker parsed it too
+        # every warning shows each time it is raised, the worker's too
         big = batch_dir / "03-big.el"
         text = big.read_text()
         big.write_text(text + text.splitlines()[0] + "\n")
@@ -544,6 +577,18 @@ class TestFanOut:
         assert re.search(r'test_cli\.py", line \d+, in rewire\n', cause)
         assert cause.rstrip('"\n').endswith(str(exc.value))
         assert _blas_threads() == threads
+
+    def test_exception_here_keeps_its_stack(self, p5_file, monkeypatch):
+        # an input the main process runs raises with its own frames, and
+        # with no worker traceback as its cause
+        def rewire(g, *args, **kwargs):
+            raise ValueError("boom here")
+
+        monkeypatch.setattr(rw, "rewire", rewire)
+        with pytest.raises(ValueError, match="boom here") as exc:
+            main(["curve", "--input", str(p5_file), "--k", "1"])
+        assert exc.value.__cause__ is None
+        assert exc.traceback[-1].name == "rewire"
 
     @pytest.mark.parametrize("leave", [KeyboardInterrupt, SystemExit])
     def test_uncaught_exception_ends_worker(self, batch_dir, tmp_path, monkeypatch, leave):
@@ -644,6 +689,61 @@ class TestVerify:
         finally:
             sp._inverses.cache_clear()  # no faulty M is left for later tests
         assert capsys.readouterr().out.startswith(f"FAIL {suite}")
+
+    @pytest.mark.parametrize("suite", ["theorem-delta", "p20-nonmonotonicity", "series",
+                                       "rayleigh-monotonicity", "p5-counterexample",
+                                       "bound-ordering"])
+    def test_suite_fails_on_planted_fault(self, suite, monkeypatch, capsys):
+        """A fault in the route each of the other suites checks makes it
+        print FAIL and exit 1, at its default tolerance."""
+        pair_scores, apply_edge = ResistanceState.pair_scores, ResistanceState.apply_edge
+        resistance, total = sp.effective_resistance, sp.total_resistance
+
+        def scaled_delta(self, u, v):
+            r, bsq, delta = pair_scores(self, u, v)
+            return r, bsq, delta * (1.0 + 1e-5)
+
+        def rtot_unchanged(self, u, v):
+            rtot = self.rtot
+            apply_edge(self, u, v)
+            self.rtot = rtot
+
+        faults = {
+            "theorem-delta": (ResistanceState, "pair_scores", scaled_delta),
+            "p20-nonmonotonicity": (ResistanceState, "pair_scores", scaled_delta),
+            "series": (sp, "effective_resistance",
+                       lambda g, u, v: resistance(g, u, v) + 1e-5),
+            "rayleigh-monotonicity": (ResistanceState, "apply_edge", rtot_unchanged),
+            "p5-counterexample": (sp, "total_resistance", lambda g: total(g) * (1.0 + 1e-5)),
+            "bound-ordering": (verify, "jacobian_bound_adjacency",
+                               lambda g, u, v, p: verify.jacobian_bound_resistance(g, u, v, p)
+                               + 1.0),
+        }
+        monkeypatch.setattr(*faults[suite])
+        assert main(["verify", "--suite", suite]) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {suite}")
+
+    @pytest.mark.parametrize("suite,option,value", [
+        ("woodbury", "--n", "10"), ("woodbury", "--trials", "3"),
+        ("p5-counterexample", "--n", "10"), ("p20-nonmonotonicity", "--trials", "3"),
+        ("rayleigh-monotonicity", "--tolerance", "1e-3"),
+    ])
+    def test_option_the_suite_does_not_read_exit_2(self, suite, option, value, monkeypatch,
+                                                    capsys):
+        # a usage error, before any suite runs, not an option silently dropped
+        monkeypatch.setattr(verify, "run_suites", lambda *a, **k: pytest.fail("ran a suite"))
+        assert main(["verify", "--suite", suite, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: [^\n]*{suite}[^\n]*{option}\n", captured.err)
+
+    def test_options_without_suite_reach_the_suites_that_read_them(self, capsys):
+        assert main(["verify", "--n", "4", "--trials", "1", "--tolerance", "1e-3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == len(verify.SUITES)
+        tolerances = dict(re.findall(r"PASS (\S+): .*\(tolerance (\S+)\)", out))
+        assert tolerances.pop("rayleigh-monotonicity") == "0"
+        assert set(tolerances.values()) == {"0.001"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_woodbury_tolerance_matches_printed_deviation(self, seed, capsys):

@@ -119,6 +119,15 @@ class TestBruteForce:
         with pytest.raises(InfeasibleSearchError):
             brute_force_optimal(g, 4, cap=100)
 
+    def test_negative_k_rejected(self, p5):
+        with pytest.raises(ValueError, match="non-negative"):
+            brute_force_optimal(p5, -1)
+
+    def test_k_above_candidates_rejected(self, p5):
+        # P5 has 6 non-edges
+        with pytest.raises(InfeasibleSearchError, match="k=7 exceeds the 6"):
+            brute_force_optimal(p5, 7)
+
     def test_matches_exhaustive_recompute(self, p5):
         import itertools
 

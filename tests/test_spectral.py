@@ -26,6 +26,7 @@ from reswire import (
     total_resistance,
 )
 from reswire import spectral as sp
+from reswire import verify
 from reswire.spectral import regularized_inverse_dense
 from reswire.verify import (
     complete_graph,
@@ -228,6 +229,13 @@ class TestEffectiveResistance:
     def test_flow_route_c4_adjacent(self, c4):
         assert effective_resistance_flow(c4, 0, 1) == pytest.approx(3 / 4)
 
+    @pytest.mark.parametrize("route", [effective_resistance_normalized,
+                                       effective_resistance_flow])
+    def test_oracle_routes_same_vertex(self, route, p5):
+        assert route(p5, 2, 2) == 0.0
+        with pytest.raises(ValueError):  # the vertex is still range-checked
+            route(p5, 5, 5)
+
     def test_triple_route_agreement(self):
         for g in random_graphs(3, 10, 2, 15):
             for u in range(g.n):
@@ -317,6 +325,20 @@ class TestSeries:
         with pytest.raises(BipartiteGraphError):
             resistance_series_truncated(c4, 0, 1, 1e-6)
 
+    def test_same_vertex_rejected(self, triangle):
+        with pytest.raises(ValueError, match="u != v"):
+            resistance_series_truncated(triangle, 1, 1, 1e-6)
+
+    def test_mu_at_least_one_rejected(self, triangle, monkeypatch):
+        monkeypatch.setattr(sp, "mu_bound", lambda g: 1.0)
+        with pytest.raises(BipartiteGraphError, match="mu=1.0"):
+            resistance_series_truncated(triangle, 0, 1, 1e-6)
+
+    def test_no_convergence_raises(self, triangle, monkeypatch):
+        monkeypatch.setattr(verify, "SERIES_MAX_TERMS", 3)
+        with pytest.raises(ArithmeticError, match="within 3 terms"):
+            resistance_series_truncated(triangle, 0, 1, 1e-6)
+
     def test_matches_closed_form(self):
         import random
 
@@ -339,6 +361,12 @@ class TestSpectralQuantities:
 
     def test_spectral_gap_k5(self):
         assert spectral_gap(complete_graph(5)) == pytest.approx(5)
+
+    def test_spectral_gap_one_vertex(self, monkeypatch):
+        # sigma_2 is undefined: an error before the dense memo is read
+        monkeypatch.setattr(sp, "_inverses", lambda g: pytest.fail("read the memo"))
+        with pytest.raises(ValueError, match="two vertices"):
+            spectral_gap(build_graph(1, []))
 
     def test_spectral_gap_disconnected(self, two_k2):
         with pytest.raises(DisconnectedGraphError):
