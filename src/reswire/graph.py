@@ -207,7 +207,10 @@ _SINGLETON = Graph(n=1, edges=(), component_id=(0,))  # shared by every isolated
 
 def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """(sorted vertex array, own Graph on local labels 0..n_c-1) of each
-    connected component, ordered by label, from one O(n + m) pass."""
+    connected component, ordered by label, from one O(n + m) pass. A
+    connected graph is its own component: its labels are already local."""
+    if g.num_components == 1:
+        return [(np.arange(g.n), g)]
     label = np.asarray(g.component_id, dtype=np.int64)
     sizes = np.bincount(label, minlength=g.num_components)
     order = np.argsort(label, kind="stable")

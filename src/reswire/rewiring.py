@@ -53,7 +53,7 @@ class RewirePlan:
 def same_component_non_edges(g: gr.Graph, *, state: ResistanceState | None = None):
     """Sorted (u, v), u < v, in one component and not an edge of `g`, as a
     list; given `g`'s `state`, as a `_MaskedCandidates` over the pairs the
-    state has not added, read from its candidate masks."""
+    state has not added, read from its lists of neighbours."""
     if state is not None:
         return _MaskedCandidates(state)
     existing = g.edge_set()
@@ -69,10 +69,10 @@ def same_component_non_edges(g: gr.Graph, *, state: ResistanceState | None = Non
 class _MaskedCandidates:
     """`len` and `pop(i)` of the sorted list of the pairs a state has not
     added, without the list: the i-th pair is found from per-vertex counts
-    of the remaining candidates (their prefix sum gives u) and u's row of
-    its component's mask (its nonzeros give v). `pop` only counts the pair
-    as taken; the caller adds it by `apply_edge`, which clears its mask
-    entry, before the next `pop`."""
+    of the remaining candidates (their prefix sum gives u) and the sorted
+    neighbours above u in its component (skipping them gives v, in
+    O(deg u)). `pop` only counts the pair as taken; the caller adds it by
+    `apply_edge`, which adds v to u's neighbours, before the next `pop`."""
 
     def __init__(self, state: ResistanceState):
         n = state.original.n
@@ -82,7 +82,8 @@ class _MaskedCandidates:
         self._counts = np.zeros(n, dtype=np.int64)
         for i, c in enumerate(state.comps):
             self._owner[c.verts], self._local[c.verts] = i, np.arange(c.size)
-            self._counts[c.verts] = c.cand.sum(axis=1)
+            self._counts[c.verts] = (np.arange(c.size - 1, -1, -1)
+                                     - np.fromiter(map(len, c._above), np.int64, c.size))
         self._len = int(self._counts.sum())
 
     def __len__(self) -> int:
@@ -91,8 +92,12 @@ class _MaskedCandidates:
     def pop(self, i: int) -> tuple[int, int]:
         ends = np.cumsum(self._counts)
         u = int(np.searchsorted(ends, i, side="right"))
-        c = self._comps[self._owner[u]]
-        b = np.flatnonzero(c.cand[self._local[u]])[i - int(ends[u]) + int(self._counts[u])]
+        c, a = self._comps[self._owner[u]], int(self._local[u])
+        b = a + 1 + i - int(ends[u]) + int(self._counts[u])
+        for x in c._above[a]:  # the neighbours at or before b push it on
+            if x > b:
+                break
+            b += 1
         self._counts[u] -= 1
         self._len -= 1
         return u, int(c.verts[b])

@@ -1,8 +1,11 @@
 """Mutable per-component cache of M = (L + 11^T/n)^{-1} and N = M^2.
 
 O(n^2) in-place scans and insertions, block of rows by block of rows. The
-scan scores the upper triangle under a persistent candidate mask; N is read
-on and above its diagonal only, so roundoff asymmetry in N never matters.
+scan scores the upper triangle and writes -inf at the non-candidates in
+its own buffer: each chunk's front square on and below the diagonal, and
+the edges, original and added, kept per chunk as offsets into its scores
+and per vertex as sorted lists of the neighbours above it. N is read on
+and above its diagonal only, so roundoff asymmetry in N never matters.
 Adding {u, v} takes the column difference w = M[:, u] - M[:, v], R = w_u -
 w_v, B^2 = w^T w, c = 1/(1 + R) and Mw = N (e_u - e_v), all from the
 pre-update M and N:
@@ -29,34 +32,33 @@ rows on a grid that is symmetric under i -> n-1-i: multiples of 128 from
 each end, and the middle rest split at n/2 when it exceeds 128 rows. A
 component of at most 128 vertices is one block: it keeps M in the
 Laplacian's array and N = M^T M (syrk) beside it. A larger component keeps
-both matrices in the one n_c^2 array P that the set-up returned
-(symmetric packed storage in the spirit of LAPACK's RFP format: Gustavson,
-Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010). With [lo(i), hi(i))
-the block of row i:
+both matrices in n_c^2 + n_c doubles: the n_c^2 array P that the set-up
+returned, and N's diagonal in one vector (symmetric packed storage in the
+spirit of LAPACK's RFP format: Gustavson, Wasniewski, Dongarra & Langou,
+ACM TOMS 37(2), 2010). With [lo(i), hi(i)) the block of row i:
 
-    M_ij = P[i, j]              for j >= lo(i)  (diagonal blocks, full, and
-                                                 the block upper triangle)
+    M_ij = P[i, j]              for j >= i      (the upper triangle)
+    N_ij = P[j, i]              for i < j < hi(i)  (diagonal blocks)
     N_ij = P[n-1-i, j - hi(i)]  for j >= hi(i)  (the block lower triangle)
 
-and N's diagonal blocks sit in one flat array of sum h_k^2 <= 128 n_c
-doubles. The symmetric grid gives row n-1-i exactly lo(n-1-i) = n - hi(i)
-free places left of its block, so row i of N right of its block is stored
-from the left of P's row n-1-i, and N never touches a diagonal block of
-M. A scan chunk of rows [r0, r1) in block [lo, hi) reads M from P[r0:r1,
-r0:] and N from P[::-1][r0:r1, :n-hi], rows backward but each row forward
+The symmetric grid gives row n-1-i exactly lo(n-1-i) = n - hi(i) free
+places left of its block, so row i of N right of its block is stored from
+the left of P's row n-1-i. A scan chunk of rows [r0, r1) in block [lo, hi)
+reads M from P[r0:r1, r0:], N in the block from P[r0:hi, r0:r1].T and N
+right of it from P[::-1][r0:r1, :n-hi], rows backward but each row forward
 in memory (a 180-degree rotation would read each row backward, ~1.4x
 slower). N is built in place, bottom-up, 64 rows at a time: rows [r0, r1)
 of N are P[r0:r1] @ P[:r1].T while the rows of P above r0 still hold M;
-the part in the diagonal block goes to its array and the part left of it
-into P[r0:r1, :lo]. P's strict lower triangle is then anti-transposed in
-place (`_anti_transpose_lower`), each row's part left of its block
-reversed, and M's diagonal blocks mirrored back from their upper
-triangles. The build holds 64 rows as workspace. An insertion then
-writes M's rank-1 term right of each row's block start and N's rank-2
-term, with the rows of its factor reversed, left of it; Mw is a
-difference of two columns of N, gathered from the pieces in O(n_c).
-Outside the scan only these column gathers (also behind the `m` and `n2`
-copies) and `_n_at`, one entry of N for `pair`, read the layout.
+they go to P[r0:r1, :r0], to the strict lower triangle of P[r0:r1, r0:r1]
+and, on the diagonal, to the vector. P's strict lower triangle is then
+anti-transposed in place (`_anti_transpose_lower`), each diagonal square
+mapped back from its mirror (the middle one from itself), and each row's
+part left of its block reversed. The build holds 64 rows as workspace. An
+insertion then writes M's rank-1 term from each row's diagonal on and N's
+rank-2 term left of it, with the rows of its factor reversed left of the
+block; Mw is a difference of two columns of N, gathered from the pieces in
+O(n_c). Outside the scan only these column gathers (also behind the `m`
+and `n2` copies) and `_n_at`, one entry of N for `pair`, read the layout.
 
 Tie band. `best_candidate` returns the lexicographically first pair whose
 delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
@@ -74,6 +76,9 @@ the graph), and a vertex's local index is its position in that array.
 """
 
 from __future__ import annotations
+
+import bisect
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,6 +101,15 @@ def _block_bounds(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(cuts)))
 
 
+@lru_cache(maxsize=None)
+def _tri(h: int, k: int = 0) -> np.ndarray:
+    """np.tri(h, k=k) as a read-only bool mask, made once per (h, k): on
+    and below the k-th diagonal."""
+    mask = np.tri(h, k=k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _anti_transpose_lower(x: np.ndarray, step: int = 2 * PACKED_ROWS) -> None:
     """The strict lower triangle of x becomes that of x[::-1, ::-1].T, in
     place: new x[a, b] = old x[n-1-b, n-1-a], an involution. Rows [lo, hi)
@@ -109,7 +123,7 @@ def _anti_transpose_lower(x: np.ndarray, step: int = 2 * PACKED_ROWS) -> None:
     for lo in range(0, half, step):
         hi = min(lo + step, half)
         _swap(x[lo:hi, :lo], q[:lo, lo:hi].T, work)
-        _swap(x[lo:hi, lo:hi], q[lo:hi, lo:hi].T, work, np.tri(hi - lo, k=-1, dtype=bool))
+        _swap(x[lo:hi, lo:hi], q[lo:hi, lo:hi].T, work, _tri(hi - lo, -1))
     f = x[half:, :n - half][::-1]
     for i in range(0, len(f), step):
         for j in range(i, len(f), step):
@@ -125,27 +139,36 @@ def _swap(a: np.ndarray, b: np.ndarray, work: np.ndarray, where=True) -> None:
 
 
 class _Component:
-    __slots__ = ("verts", "size", "cand", "band", "_norm_a", "_m", "_n2", "_dn", "_v", "_p",
-                 "_bounds", "_chunks", "_rows", "_packed", "_block")
+    __slots__ = ("verts", "size", "band", "_above", "_edges", "_norm_a", "_m", "_n2", "_v",
+                 "_p", "_bounds", "_chunks", "_rows", "_packed", "_block")
 
     def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray):
         n = sub.n
         self.verts, self.size = verts, n
-        self._m, self._n2, self._dn = m, None, None
+        self._m, self._n2 = m, None  # N, or N's diagonal once packed: see `_build_n`
         self._v, self._p = None, 0  # pending rows, allocated on the first delay
-        self.cand = ~np.tri(n, dtype=bool)
         a, b = np.array(sub.edges, dtype=np.int64).reshape(-1, 2).T
-        self.cand[a, b] = False
         # ||L + J/n||_inf = 1 + 2 d_max (1 - 1/n), the largest row's; the band
         # waits for ||M||_inf, read when N is built (never in the random baseline)
         self._norm_a = 1.0 + 2.0 * np.bincount(np.concatenate([a, b])).max() * (1.0 - 1.0 / n)
         self.band = None
         self._bounds = bounds = _block_bounds(n)
         self._rows = rows = min(n, sp.BLOCK_ROWS if len(bounds) == 2 else PACKED_ROWS)
-        # (first row, end row, block start, block end, block) of each chunk of rows
-        self._chunks = [(r0, min(r0 + rows, hi), lo, hi, k)
-                        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-                        for r0 in range(lo, hi, rows)]
+        # (first row, end row, block start, block end, index) of each chunk of rows
+        spans = [(r0, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+                 for r0 in range(lo, hi, rows)]
+        self._chunks = [(r0, min(r0 + rows, hi), lo, hi, i)
+                        for i, (r0, lo, hi) in enumerate(spans)]
+        # the edges: per vertex its sorted neighbours above it, per chunk their
+        # flat offsets into its (h, n - r0) scores
+        self._above = [[] for _ in range(n)]
+        for x, y in sub.edges:
+            self._above[x].append(y)
+        starts = np.array([chunk[0] for chunk in self._chunks])
+        k = starts.searchsorted(a, side="right") - 1
+        r0 = starts[k]
+        self._edges = np.split((a - r0) * (n - r0) + b - r0,
+                               k.searchsorted(np.arange(1, len(starts))))
         self._packed, self._block = False, None  # set when N is built
 
     @property
@@ -166,40 +189,36 @@ class _Component:
 
     def _build_n(self) -> None:
         """N from M after a flush: syrk for one block, else in place in P
-        (see the module docstring)."""
+        and N's diagonal (see the module docstring)."""
         self._flush()
         self._v = None  # from here on insertions update M and N at once
         p, n, bounds = self._m, self.size, self._bounds
         self.band = TIE_BAND * np.finfo(float).eps * self._norm_a * sp._inf_norm(p)
-        sizes = np.diff(bounds)
-        flat = np.empty(int(sizes @ sizes))
-        ends = np.cumsum(sizes * sizes)
-        dn = [flat[e - h * h:e].reshape(h, h) for e, h in zip(ends, sizes)]
-        if len(dn) == 1:
-            np.matmul(p.T, p, out=dn[0])  # syrk: N exactly symmetric
-        else:
-            step = 2 * PACKED_ROWS  # rows of N at a time
-            work = np.empty(step * n)
-            for k in reversed(range(len(dn))):
-                lo, hi = bounds[k], bounds[k + 1]
-                for r0 in reversed(range(lo, hi, step)):
-                    r1 = min(r0 + step, hi)
-                    t = np.matmul(p[r0:r1], p[:r1].T, out=sp._work(work, r1 - r0, r1))
-                    d = dn[k][r0 - lo:r1 - lo]
-                    d[:, :r1 - lo] = t[:, lo:]
-                    d[:, r1 - lo:] = dn[k][r1 - lo:, r0 - lo:r1 - lo].T  # from the rows below
-                    p[r0:r1, :lo] = t[:, :lo]
-            del work, t
-            _anti_transpose_lower(p)
-            for r0, r1, lo, _, _ in self._chunks:
-                left = p[r0:r1, :lo]
-                left[...] = left[:, ::-1].copy()
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                blk = p[lo:hi, lo:hi]
-                np.copyto(blk, blk.T.copy(), where=np.tri(hi - lo, k=-1, dtype=bool))
-            self._packed = True
-        self._n2, self._dn = flat, dn
-        self._block = np.repeat(np.arange(len(sizes)), sizes)
+        if len(bounds) == 2:
+            self._n2 = np.matmul(p.T, p)  # syrk: N exactly symmetric
+            return
+        self._n2 = nd = np.empty(n)
+        step = 2 * PACKED_ROWS  # rows of N at a time
+        work = np.empty(step * n)
+        for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+            for r0 in reversed(range(lo, hi, step)):
+                r1 = min(r0 + step, hi)
+                t = np.matmul(p[r0:r1], p[:r1].T, out=sp._work(work, r1 - r0, r1))
+                p[r0:r1, :r0] = t[:, :r0]
+                # N_ij = t[i, j] for i < j within these rows, as the scan reads it
+                np.copyto(p[r0:r1, r0:r1], t[:, r0:].T, where=_tri(r1 - r0, -1))
+                nd[r0:r1] = t[:, r0:].diagonal()
+        del work, t
+        _anti_transpose_lower(p)
+        q, work = p[::-1, ::-1], np.empty(sp.CHOLESKY_ROWS ** 2)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo + hi <= n:  # each diagonal square back from its mirror
+                _swap(p[lo:hi, lo:hi], q[lo:hi, lo:hi].T, work, _tri(hi - lo, -1))
+        for r0, r1, lo, _, _ in self._chunks:
+            left = p[r0:r1, :lo]
+            left[...] = left[:, ::-1].copy()
+        self._packed = True
+        self._block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
     def _flush(self) -> None:
         """M -= V^T V for the p pending rows, one block of rows at a time."""
@@ -219,17 +238,19 @@ class _Component:
         """Column a of M as stored (without the pending rows)."""
         if not self._packed:
             return self._m[:, a]
-        hi = self._bounds[self._block[a] + 1]
-        return np.concatenate((self._m[:hi, a], self._m[a, hi:]))
+        return np.concatenate((self._m[:a + 1, a], self._m[a, a + 1:]))
 
     def _ncol(self, a: int) -> np.ndarray:
-        """Column a of N, gathered from its three pieces in the packed layout."""
-        p, n, k = self._m, self.size, self._block[a]
+        """Column a of N, gathered from its five pieces in the packed layout."""
+        p, n = self._m, self.size
+        if not self._packed:
+            return self._n2[:, a]
+        k = self._block[a]
         lo, hi = self._bounds[k], self._bounds[k + 1]
         above = np.arange(lo)
         ends = np.array(self._bounds[1:])[self._block[:lo]]
-        return np.concatenate((p[n - 1 - above, a - ends], self._dn[k][:, a - lo],
-                               p[n - 1 - a, :n - hi]))
+        return np.concatenate((p[n - 1 - above, a - ends], p[a, lo:a], self._n2[a:a + 1],
+                               p[a + 1:hi, a], p[n - 1 - a, :n - hi]))
 
     def _diff(self, a: int, b: int) -> np.ndarray:
         """w = M_true[:, a] - M_true[:, b], through the pending rows."""
@@ -245,11 +266,12 @@ class _Component:
 
     def _n_at(self, a: int, b: int) -> float:
         """N_ab for local indices a <= b."""
-        k = self._block[a]
-        lo, hi = self._bounds[k], self._bounds[k + 1]
-        if b < hi:
-            return self._dn[k][a - lo, b - lo]
-        return self._m[self.size - 1 - a, b - hi]
+        if not self._packed:
+            return self._n2[a, b]
+        if a == b:
+            return self._n2[a]
+        hi = self._bounds[self._block[a] + 1]
+        return self._m[b, a] if b < hi else self._m[self.size - 1 - a, b - hi]
 
     def pair(self, a: int, b: int):
         """R, B^2 and delta of the local pair a < b: from M and N once N
@@ -265,29 +287,30 @@ class _Component:
 
     def _scan_setup(self):
         """Half the diagonals of M and N, and a buffer of two chunks."""
-        dn = self._dn
-        diag = np.diag(dn[0]) if len(dn) == 1 else np.concatenate([np.diag(d) for d in dn])
-        return 0.5 * np.diag(self._m), 0.5 * diag, np.empty((2, self._rows * self.size))
+        nd = self._n2 if self._packed else np.diag(self._n2)
+        return 0.5 * np.diag(self._m), 0.5 * nd, np.empty((2, self._rows * self.size))
 
     def _chunk_scores(self, chunk, hm, hn, buf) -> np.ndarray:
         """delta of the chunk's rows against the columns from its first row
-        on, -inf off the candidate mask, as an (h, n - r0) view of buf[1].
+        on, -inf at non-candidates, as an (h, n - r0) view of buf[1].
         Working at half scale is exact: scores match `scores`."""
-        r0, r1, lo, hi, k = chunk
+        r0, r1, lo, hi, i = chunk
         n, m = self.size, self._m
         h, width = r1 - r0, n - r0
         b, t = buf[:, :h * width].reshape(2, h, width)
         np.add(hn[r0:r1, None], hn[r0:], out=b)
-        b[:, :hi - r0] -= self._dn[k][r0 - lo:r1 - lo, r0 - lo:]
+        # the front square's entries on and below the diagonal are no
+        # candidates: what is read there does not matter
+        b[:, :hi - r0] -= m[r0:hi, r0:r1].T if self._packed else self._n2[r0:r1, r0:]
         if hi < n:
             b[:, hi - r0:] -= m[::-1][r0:r1, :n - hi]
         b *= n
         np.add(hm[r0:r1, None], hm[r0:], out=t)
         t -= m[r0:r1, r0:]
         t += 0.5
-        b /= t
-        t.fill(-np.inf)
-        np.copyto(t, b, where=self.cand[r0:r1, r0:])
+        np.divide(b, t, out=t)
+        np.copyto(t[:, :h], -np.inf, where=_tri(h))
+        t.reshape(-1)[self._edges[i]] = -np.inf
         return t
 
     def top(self):
@@ -328,7 +351,10 @@ class _Component:
         n, w = self.size, self._diff(a, b)
         bsq = float(w @ w)
         cc = 1.0 / (1.0 + float(w[a] - w[b]))
-        self.cand[a, b] = False
+        bisect.insort(self._above[a], b)
+        i = bisect.bisect_right(self._chunks, a, key=lambda chunk: chunk[0]) - 1
+        r0 = self._chunks[i][0]
+        self._edges[i] = np.append(self._edges[i], (a - r0) * (n - r0) + b - r0)
         if self._n2 is None:
             if self._v is None:
                 self._v = np.empty((n, n))  # pages become resident only when written
@@ -337,24 +363,32 @@ class _Component:
             if self._p == n:
                 self._flush()
             return bsq, cc
-        p, dn = self._m, self._dn
+        p, n2 = self._m, self._n2
         mw = self._ncol(a) - self._ncol(b) if self._packed else p @ w
         u2 = np.stack([w, mw], axis=1)
         v2 = np.array([[cc * cc * bsq, -cc], [-cc, 0.0]]) @ u2.T
         # left of row i's block, P[i, c] = N[n-1-i, c + n - lo(i)]: U's rows reversed
         ur = u2[::-1].copy() if self._packed else None
         buf = np.empty(self._rows * n)
-        for r0, r1, lo, hi, k in self._chunks:
+        for r0, r1, lo, hi, _ in self._chunks:
             h = r1 - r0
-            # outer product before the scale keeps M exactly symmetric
-            t = np.multiply(w[r0:r1, None], w[lo:], out=buf[:h * (n - lo)].reshape(h, n - lo))
-            t *= cc
-            p[r0:r1, lo:] -= t
-            dn[k][r0 - lo:r1 - lo] += np.matmul(u2[r0:r1], v2[:, lo:hi],
-                                                 out=buf[:h * (hi - lo)].reshape(h, hi - lo))
+            # outer product before the scale keeps M exactly symmetric; adding
+            # -c w w^T gives the bits of subtracting c w w^T
+            t = np.multiply(w[r0:r1, None], w[lo:], out=sp._work(buf, h, n - lo))
+            t *= -cc
+            if not self._packed:  # one block: M and N whole, apart
+                p[r0:r1] += t
+                n2[r0:r1] += np.matmul(u2[r0:r1], v2, out=sp._work(buf, h, n))
+                continue
+            p[r0:r1, r1:] += t[:, r1 - lo:]
+            # N_ij = u_i . v_j at P[j, i] for i < j in the block, as the scan
+            # reads it, and M on and above the diagonal; N's diagonal apart
+            s = np.matmul(v2[:, r0:r1].T, u2[lo:r1].T)
+            p[r0:r1, lo:r0] += s[:, :r0 - lo]
+            p[r0:r1, r0:r1] += np.where(_tri(h, -1), s[:, r0 - lo:], t[:, r0 - lo:r1 - lo])
+            n2[r0:r1] += s[:, r0 - lo:].diagonal()
             if lo:
-                p[r0:r1, :lo] += np.matmul(ur[r0:r1], v2[:, n - lo:],
-                                           out=buf[:h * lo].reshape(h, lo))
+                p[r0:r1, :lo] += np.matmul(ur[r0:r1], v2[:, n - lo:], out=sp._work(buf, h, lo))
         return bsq, cc
 
 
@@ -380,7 +414,7 @@ class ResistanceState:
             raise ValueError(f"pair requires distinct vertices, got ({u}, {v})")
         c = self._by_label[gr._component_label(self.original, u, v)]
         a, b = sorted(c.verts.searchsorted((u, v)).tolist())
-        if not c.cand[a, b]:
+        if b in c._above[a]:
             raise ValueError(f"edge ({u}, {v}) already present")
         return c, a, b
 

@@ -227,9 +227,7 @@ def nonmonotonicity_witness(g: gr.Graph, margin: float = 1e-9):
     base = delta_table(g)
     for f in sorted(base):
         after = delta_table(g.with_edges([f]))
-        for e in sorted(after):
-            if e == f or e not in base:
-                continue
+        for e in sorted(after):  # the non-edges of g but f
             if after[e] > base[e] + margin:
                 return e, f
     return None
@@ -305,9 +303,13 @@ def suite_triple_route(seed: int = 0, trials: int = 50, n_max: int = 15,
 
 def suite_woodbury(seed: int = 0, n: int = 40, insertions: int = 50,
                    tolerance: float = 1e-8) -> SuiteResult:
+    # beside the n-vertex component, one of 300 vertices, whose M and N
+    # share one array with a middle block mirrored onto itself
     rng = random.Random(seed)
-    g = random_connected_graph(rng, n)
+    small, large = random_connected_graph(rng, n), random_connected_graph(rng, 300, 0.01)
+    g = gr.build_graph(n + 300, list(small.edges) + [(u + n, v + n) for u, v in large.edges])
     state = ResistanceState(g)
+    state.best_candidate()  # builds N, so every insertion updates M and N at once
     candidates = rw.same_component_non_edges(g)
     monotone = True
     for _ in range(insertions):

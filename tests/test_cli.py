@@ -16,6 +16,7 @@ from reswire import rewiring as rw
 from reswire import spectral as sp
 from reswire import verify
 from reswire.cli import main
+from reswire.state import _Component
 from reswire.verify import random_connected_graph
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -722,6 +723,62 @@ class TestVerify:
         monkeypatch.setattr(*faults[suite])
         assert main(["verify", "--suite", suite]) == 1
         assert capsys.readouterr().out.startswith(f"FAIL {suite}")
+
+    def test_woodbury_fails_on_n_fault(self, monkeypatch, capsys):
+        """N_00 off by a relative 1e-6 after each insertion made with N
+        present fails `woodbury`: its insertions update M and N at once,
+        in the layout of one array (300 vertices) and beside it (40)."""
+        insert, planted = _Component.insert, []
+
+        def perturbed(self, a, b):
+            out = insert(self, a, b)
+            if self._n2 is not None:
+                self._n2.flat[0] *= 1.0 + 1e-6  # N_00: of N, or of N's diagonal once packed
+                planted.append(self._packed)
+            return out
+
+        monkeypatch.setattr(_Component, "insert", perturbed)
+        assert main(["verify", "--suite", "woodbury"]) == 1
+        assert capsys.readouterr().out.startswith("FAIL woodbury")
+        assert len(planted) == 50 and True in planted
+
+    @pytest.mark.parametrize("suite,fault,detail", [
+        ("woodbury", "rtot_unchanged", "monotone=False"),
+        ("bound-ordering", "total_above_gap", "max deviation 1 "),
+        ("bound-ordering", "rmax_above_gap", "max deviation 0 "),
+    ])
+    def test_failure_branch_reached(self, suite, fault, detail, monkeypatch, capsys):
+        """A fault for each remaining failure branch: woodbury's R_tot
+        monotonicity (R_tot left unchanged), bound-ordering's total-vs-gap
+        bound (1 above) and its R_max range from sigma_2, which fails the
+        suite with no bound out of order."""
+        apply_edge, gap_bound = ResistanceState.apply_edge, verify.spectral_gap_jacobian_bound
+        gap = sp.spectral_gap
+
+        def rtot_unchanged(self, u, v):
+            rtot = self.rtot
+            apply_edge(self, u, v)
+            self.rtot = rtot
+
+        faults = {
+            "rtot_unchanged": (ResistanceState, "apply_edge", rtot_unchanged),
+            "total_above_gap": (verify, "total_jacobian_bound",
+                                lambda g, p: gap_bound(g, p) + 1.0),
+            "rmax_above_gap": (sp, "rmax", lambda g: 3.0 / gap(g)),
+        }
+        monkeypatch.setattr(*faults[fault])
+        assert main(["verify", "--suite", suite]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {suite}") and detail in out
+
+    @pytest.mark.parametrize("suite", ["theorem-delta", "woodbury"])
+    def test_complete_graphs_pass(self, suite, monkeypatch, capsys):
+        # no non-edge to draw: nothing is inserted or scored, and the suite
+        # passes with no deviation
+        monkeypatch.setattr(verify, "random_connected_graph",
+                            lambda rng, n, extra_edge_prob=0.25: verify.complete_graph(n))
+        assert main(["verify", "--suite", suite]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {suite}: max deviation 0 ")
 
     @pytest.mark.parametrize("suite,option,value", [
         ("woodbury", "--n", "10"), ("woodbury", "--trials", "3"),

@@ -673,3 +673,17 @@ def test_singletons_are_not_inverted(monkeypatch):
     for (v1, s1, m1), (v2, s2, m2) in zip(got, expected):
         assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
         assert (s1.n, s1.edges) == (s2.n, s2.edges)
+
+
+def test_connected_graph_is_its_own_component():
+    """A connected graph is split into itself, not a relabelled copy, and
+    its M is the one the relabelling route gives: that of the same graph
+    beside an isolated vertex."""
+    g = random_connected_graph(random.Random(12), 150, 0.05)
+    ((verts, sub, m),) = sp.component_inverses(g)
+    assert sub is g and np.array_equal(verts, np.arange(g.n))
+    (_, copy, ref), _ = sp.component_inverses(build_graph(g.n + 1, g.edges))
+    assert copy is not g and copy.edges == g.edges
+    assert np.array_equal(m, ref)
+    ((verts, sub, m),) = sp.component_inverses(build_graph(1, []))
+    assert sub.n == 1 and verts.tolist() == [0] and m.tolist() == [[1.0]]

@@ -227,12 +227,14 @@ class TestAllPairScores:
             assert all(c._n2 is None for c in fresh.comps)
 
 
-def _dense_scores(c):
-    """(a, b, [R, B^2, delta]) of every candidate a < b of the component,
+def _dense_scores(s, c):
+    """(a, b, [R, B^2, delta]) of every candidate a < b of the component c
+    of state s, the non-edges of s's current graph in row-major order,
     from the `m` and `n2` copies: the entries and the arithmetic that
     `pair` reads once N exists, so the values are the same bits."""
     n2, m = c.n2, c.m
-    a, b = np.nonzero(c.cand)
+    pairs = np.array(same_component_non_edges(s.current_graph()), dtype=np.int64).reshape(-1, 2)
+    a, b = c.verts.searchsorted(pairs[np.isin(pairs[:, 0], c.verts)]).T
     r = m[a, a] + m[b, b] - 2.0 * m[a, b]
     bsq = n2[a, a] + n2[b, b] - 2.0 * n2[a, b]
     return a, b, np.array([r, bsq, c.size * bsq / (1.0 + r)])
@@ -296,8 +298,8 @@ class TestTieBand:
     def test_first_pick_is_first_exact_tie(self, g):
         # exact ties: within 1e-9 relative of the maximum, as the benchmark's
         # oracle; one component, so row-major order is (u, v) order
-        (c,) = ResistanceState(g).comps
-        a, b, (_, _, delta) = _dense_scores(c)
+        s = ResistanceState(g)
+        a, b, (_, _, delta) = _dense_scores(s, *s.comps)
         first = int(np.argmax(delta >= delta.max() * (1 - 1e-9)))
         assert ResistanceState(g).best_candidate()[:2] == (a[first], b[first])
 
@@ -363,8 +365,8 @@ class TestPackedLayout:
             assert c._n2 is not None
             assert np.max(np.abs(c.m - f.m)) <= 1e-12
             assert np.max(np.abs(c.n2 - f.n2)) <= 1e-12
-            a, b, scores = _dense_scores(c)
-            assert np.allclose(scores, _dense_scores(f)[2], rtol=1e-9, atol=0)
+            a, b, scores = _dense_scores(s, c)
+            assert np.allclose(scores, _dense_scores(fresh, f)[2], rtol=1e-9, atol=0)
             for i in rng.sample(range(len(a)), min(len(a), 200)):
                 assert c.pair(a[i], b[i]) == tuple(scores[:, i])
             best = max(best, scores[2].max())
@@ -502,6 +504,44 @@ class TestDelayed:
                 s.apply_edge(*best[:2])
 
 
+def _assert_view_matches(s):
+    """The state's view of its candidates pops, from the end, each pair of
+    the sorted non-edge list of its current graph."""
+    view = same_component_non_edges(s.original, state=s)
+    pairs = same_component_non_edges(s.current_graph())
+    assert len(view) == len(pairs)
+    for i in reversed(range(len(pairs))):
+        assert view.pop(i) == pairs[i]  # the last pair of a row: no apply_edge needed
+    assert len(view) == 0
+
+
+class TestCandidateView:
+    """`same_component_non_edges(g, state=s)` reads the neighbour lists the
+    state keeps, original and added edges: its i-th pair is that of the
+    current graph's sorted non-edges, before and after insertions, pending
+    or with N built, in components of 1, 2, 129 and 300 vertices."""
+
+    def test_pop_matches_list(self):
+        rng = random.Random(73)
+        g = _union(rng, [1, 2, 129, 300])
+        s = ResistanceState(g)
+        _assert_view_matches(s)
+        _random_insertions(s, rng, 5)
+        for _ in range(3):  # the first scan applies the pending rows and builds N
+            s.apply_edge(*s.best_candidate()[:2])
+        _random_insertions(s, rng, 5)
+        _assert_view_matches(s)
+        # drawn and added one at a time, as the random baseline does
+        view = same_component_non_edges(g, state=s)
+        pairs = same_component_non_edges(s.current_graph())
+        for _ in range(100):
+            i = rng.randrange(len(pairs))
+            pair = view.pop(i)
+            assert pair == pairs.pop(i)
+            s.apply_edge(*pair)
+        assert len(view) == len(pairs)
+
+
 def _setup_growth_in_child(n: int) -> int:
     """Bytes of peak resident-set growth of `component_inverses` on a random
     connected graph of n vertices, read in a child process. The child reads
@@ -527,13 +567,13 @@ def _setup_growth_in_child(n: int) -> int:
 
 class TestMemory:
     """tracemalloc peaks as the benchmark's memory probe takes them: the
-    state's own M and N take at most 2 n^2 doubles (n^2 and N's diagonal
-    blocks once they share one array), so each peak leaves at most one more
-    n^2 for temporaries."""
+    state's own M and N take at most 2 n^2 doubles (n^2 + n once they share
+    one array), so each peak leaves at most one more n^2 for temporaries."""
 
-    def test_init_and_step_peaks(self):
-        g = random_connected_graph(random.Random(31), 300, 0.02)
-        limit = 3 * 8 * g.n ** 2
+    @staticmethod
+    def _peaks(g):
+        """tracemalloc peaks of the state's init and of one GTR step, in
+        units of n^2 doubles."""
         tracemalloc.start()
         try:
             s = ResistanceState(g)
@@ -544,8 +584,20 @@ class TestMemory:
             step_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert init_peak <= limit
-        assert step_peak <= limit
+        return init_peak / (8 * g.n ** 2), step_peak / (8 * g.n ** 2)
+
+    def test_init_and_step_peaks(self):
+        init_peak, step_peak = self._peaks(random_connected_graph(random.Random(31), 300, 0.02))
+        assert init_peak <= 3
+        assert step_peak <= 3
+
+    def test_init_and_step_peaks_n1600(self):
+        """At n=1600 the state is P and O(n) doubles: no candidate mask
+        (0.125 n^2) and no diagonal blocks of N (up to 128 n doubles) beside
+        it. Measured 1.09 and 1.07 n^2, where they were 1.19 and 1.26."""
+        init_peak, step_peak = self._peaks(random_connected_graph(random.Random(0), 1600, 0.005))
+        assert init_peak <= 1.10
+        assert step_peak <= 1.10
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_rss_in_child(self):
@@ -594,9 +646,10 @@ class TestMemory:
     def test_gtr_steps_rss_in_child(self):
         """Peak resident-set growth of set-up, N build and four GTR steps at
         n=1200, read in a child as in `test_setup_rss_in_child`. M and N share
-        the set-up's n^2 array, beside N's diagonal blocks, the candidate mask
-        and one block of rows: 1.59 n^2 doubles measured, where a separate
-        n^2 array for N read 2.68 n^2."""
+        the set-up's n^2 array, beside N's diagonal and one block of rows:
+        1.17 n^2 doubles measured (1.46 with a candidate mask and N's
+        diagonal blocks beside the array), where a separate n^2 array for N
+        read 2.68 n^2."""
         n = 1200
         code = textwrap.dedent(f"""
             import random
