@@ -1,18 +1,27 @@
 """Simple undirected graph representation and matrix constructors.
 
-Vertices are 0-indexed. Edges are stored as sorted (u, v) tuples with u < v.
-Graphs are immutable after construction; all matrix constructors return dense
-numpy arrays that are exactly symmetric.
+Vertices are 0-indexed. Edges are stored as sorted (u, v) tuples with u < v,
+and once as a read-only (m, 2) int64 array that the matrix constructors
+read. Graphs are immutable after construction; all matrix constructors
+return dense numpy arrays that are exactly symmetric.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import CrossComponentError, EdgeListParseError
+
+_INT64_MAX = 2 ** 63 - 1  # the largest vertex count; every index lies below it
+_BLOCK_LINES = 1024  # lines read at a time by `from_edge_list`
+_PLAIN = re.compile(r"[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*")  # lines of two plain decimals
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,25 @@ class Graph:
     def with_edges(self, extra) -> "Graph":
         """New graph with additional edges (deduplicated, revalidated)."""
         return build_graph(self.n, list(self.edges) + list(extra))
+
+    # Computed once per graph; `_graph` sets the first two from its own work.
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
+
+    @cached_property
+    def _colour(self) -> list[int]:
+        return _traverse(self.n, self.edges)[1]
+
+    @cached_property
+    def _bipartite(self) -> tuple[bool, ...]:
+        """A component is bipartite unless an edge joins two vertices of one colour."""
+        (u, v), colour = self._edge_array.T, np.array(self._colour, dtype=bool)
+        odd = np.bincount(np.array(self.component_id, dtype=np.int64)[u],
+                          colour[u] == colour[v], minlength=self.num_components)
+        return tuple((odd == 0).tolist())
 
 
 def _traverse(n: int, edges) -> tuple[list[int], list[int]]:
@@ -61,6 +89,18 @@ def _traverse(n: int, edges) -> tuple[list[int], list[int]]:
     return comp, colour
 
 
+def _graph(n: int, e: np.ndarray) -> Graph:
+    """The Graph of a canonical edge array (rows u < v, sorted, no repeats),
+    which it keeps, read-only, with the labels and colours of one walk. Its
+    edge tuples share one int object per vertex."""
+    e.flags.writeable = False
+    edges = tuple(zip(*np.arange(n, dtype=object)[e].T.tolist()))
+    comp, colour = _traverse(n, edges)
+    g = Graph(n=n, edges=edges, component_id=tuple(comp))
+    g.__dict__.update(_edge_array=e, _colour=colour)
+    return g
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge collection into a Graph."""
     seen = set()
@@ -74,66 +114,86 @@ def build_graph(n: int, edges) -> Graph:
                 f"edge ({u}, {v}) out of range for n={n}"
             )
         seen.add((min(u, v), max(u, v)))
-    canon = tuple(sorted(seen))
-    return Graph(n=n, edges=canon, component_id=tuple(_traverse(n, canon)[0]))
+    return _graph(n, np.array(sorted(seen), dtype=np.int64).reshape(-1, 2))
 
 
 def from_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list.
 
-    Format: two whitespace-separated non-negative integers per line; lines
-    starting with '#' are ignored; an optional first non-comment line
-    "n=<int>" forces the vertex count (needed for trailing isolated vertices).
-    Duplicate edges collapse with a warning; self-loops are hard errors.
+    Format: two whitespace-separated non-negative integers per line, read
+    as Python's int() reads them; more columns are ignored. Lines starting
+    with '#' are ignored; an optional first non-comment line "n=<int>"
+    forces the vertex count (needed for trailing isolated vertices). Duplicate
+    edges collapse with a warning; self-loops are hard errors, and so is a
+    vertex count or index that leaves n outside int64.
     """
-    edges = []
-    forced_n = None
-    saw_edge = False
-    seen = set()
-    dup_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n=") and not saw_edge and forced_n is None:
-            try:
-                forced_n = int(line[2:])
-            except ValueError:
-                raise EdgeListParseError("bad vertex-count header", line=lineno)
-            if forced_n < 0:
-                raise EdgeListParseError("negative vertex count", line=lineno)
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise EdgeListParseError("expected two integer tokens", line=lineno)
+    lines, forced_n, skip = text.splitlines(), None, 0
+    first = next((i for i, s in enumerate(lines) if s.lstrip()[:1] not in ("", "#")), None)
+    if first is not None and lines[first].lstrip().startswith("n="):
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            forced_n = int(lines[first].strip()[2:])
         except ValueError:
-            raise EdgeListParseError(f"non-integer token in {tokens[:2]}", line=lineno)
-        if u < 0 or v < 0:
-            raise EdgeListParseError("negative vertex index", line=lineno)
-        if u == v:
-            raise EdgeListParseError(f"self-loop at vertex {u}", line=lineno)
-        saw_edge = True
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            dup_lines.append(lineno)
-            continue
-        seen.add(key)
-        edges.append(key)
-    if dup_lines:
-        warnings.warn(
-            f"duplicate edges collapsed (lines {dup_lines})", stacklevel=2
-        )
-    max_idx = max((v for _, v in edges), default=-1)
-    n = max_idx + 1
-    if forced_n is not None:
-        if forced_n < n:
-            raise EdgeListParseError(
-                f"header n={forced_n} smaller than max vertex index {max_idx}"
-            )
-        n = forced_n
-    return build_graph(n, edges)
+            raise EdgeListParseError("bad vertex-count header", line=first + 1) from None
+        if not 0 <= forced_n <= _INT64_MAX:
+            raise EdgeListParseError("negative vertex count" if forced_n < 0 else
+                                     "vertex count does not fit in int64", line=first + 1)
+        skip = first + 1  # the lines before the header are blank or comments
+    e, at = map(np.concatenate, zip(*[_read_block(lines[i:i + _BLOCK_LINES], i + 1)
+                                      for i in range(skip, max(len(lines), skip + 1),
+                                                     _BLOCK_LINES)]))
+    del lines
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    max_idx = int(hi.max()) if len(hi) else -1
+    # one sort of u (max_idx + 1) + v, or of the pairs' ranks where that overflows
+    key = lo * (max_idx + 1) + hi if max_idx < 2 ** 31 else np.unique(
+        np.stack((lo, hi), axis=1), axis=0, return_inverse=True)[1].ravel()
+    order = key.argsort(kind="stable")  # by u, then v, then line
+    dup = key[order[1:]] == key[order[:-1]]
+    if dup.any():
+        warnings.warn(f"duplicate edges collapsed (lines {sorted(at[order[1:][dup]].tolist())})",
+                      stacklevel=2)
+        order = order[np.concatenate(([True], ~dup))]
+    if forced_n is not None and forced_n <= max_idx:
+        raise EdgeListParseError(f"header n={forced_n} smaller than max vertex index {max_idx}")
+    n = max_idx + 1 if forced_n is None else forced_n
+    return _graph(n, np.stack((lo[order], hi[order]), axis=1))
+
+
+def _read_block(block: list[str], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edges as read, their line numbers) of the lines in `block`, the
+    first of which is line `first`. Split a block at a time, which bounds
+    the token objects alive at once; EdgeListParseError at the first faulty
+    line, found by masks: each check after the first sees only the lines
+    before the earliest fault found so far."""
+    chunk, fault = "\n".join(block), None
+    if _PLAIN.fullmatch(chunk):  # strtoll reads plain decimals as int() does, up to _INT64_MAX
+        e, at = np.fromstring(chunk, dtype=np.int64, sep=" "), np.arange(first, first + len(block))
+    else:
+        rows = list(map(str.split, block, repeat(None), repeat(2)))  # <= 3 tokens a line
+        keep = np.fromiter(map(bool, rows), bool, len(rows)) & ~np.fromiter(
+            map(str.startswith, map(str.lstrip, block), repeat("#")), bool, len(block))
+        at, rows = np.flatnonzero(keep) + first, list(compress(rows, keep.tolist()))
+        vals = []
+        try:  # a row at a time; on an error, vals keeps the tokens converted before it
+            vals.extend(map(int, chain.from_iterable(map(itemgetter(0, 1), rows))))
+        except (IndexError, ValueError) as exc:
+            j = len(vals) // 2
+            fault = j, (f"non-integer token in {rows[j][:2]}" if isinstance(exc, ValueError)
+                        else "expected two integer tokens")
+            del vals[2 * j:]
+        e = np.array(vals, dtype=object).clip(-1, _INT64_MAX).astype(np.int64)  # faults kept
+    e = e.reshape(-1, 2)
+    if len(e) and not 0 <= e.min() <= e.max() < _INT64_MAX:
+        j = int(((e < 0) | (e == _INT64_MAX)).any(axis=1).argmax())
+        fault = j, ("negative vertex index" if e[j].min() < 0 else
+                    "vertex index too large: the vertex count must fit in int64")
+        e = e[:j]
+    loops = np.flatnonzero(e[:, 0] == e[:, 1])
+    if len(loops):
+        fault = int(loops[0]), f"self-loop at vertex {e[loops[0], 0]}"
+    if fault:
+        raise EdgeListParseError(fault[1], line=int(at[fault[0]]))
+    return e, at
 
 
 def to_edge_list(g: Graph, added=()) -> str:
@@ -150,16 +210,12 @@ def to_edge_list(g: Graph, added=()) -> str:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    return np.bincount(_edge_array(g).ravel(), minlength=g.n)
-
-
-def _edge_array(g: Graph) -> np.ndarray:
-    return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    return np.bincount(g._edge_array.ravel(), minlength=g.n)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """L = D - A, written straight from the edges into one n x n array."""
-    e = _edge_array(g)
+    e = g._edge_array
     lap = np.zeros((g.n, g.n))
     lap[e[:, 0], e[:, 1]] = lap[e[:, 1], e[:, 0]] = -1.0
     np.fill_diagonal(lap, np.bincount(e.ravel(), minlength=g.n))
@@ -186,7 +242,7 @@ def normalized_adjacency_edges(g: Graph) -> tuple[np.ndarray, EdgeMatrix]:
     """(keep, Ahat): the non-isolated vertices in increasing order, and
     D^(-1/2) A D^(-1/2) on them as an EdgeMatrix whose indices are
     positions in `keep`; the entry of an edge is d_i^-1/2 d_j^-1/2."""
-    e = _edge_array(g)
+    e = g._edge_array
     d = np.bincount(e.ravel(), minlength=g.n)
     keep = np.flatnonzero(d)
     inv_sqrt = 1.0 / np.sqrt(d[keep].astype(float))
@@ -216,9 +272,11 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     order = np.argsort(label, kind="stable")
     local = np.empty(g.n, dtype=np.int64)
     local[order] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    e = _edge_array(g)
+    e = g._edge_array
     e_label = label[e[:, 0]]
-    e_local = local[e[np.argsort(e_label, kind="stable")]].tolist()
+    e_sub = local[e[np.argsort(e_label, kind="stable")]]
+    e_sub.flags.writeable = False
+    e_local = e_sub.tolist()
     v_end = np.cumsum(sizes).tolist()
     e_end = np.cumsum(np.bincount(e_label, minlength=g.num_components)).tolist()
     out = []
@@ -228,6 +286,8 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
         sub = _SINGLETON if v_hi - v_lo == 1 else Graph(
             n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
             component_id=(0,) * (v_hi - v_lo))
+        if sub is not _SINGLETON:
+            sub.__dict__["_edge_array"] = e_sub[e_lo:e_hi]
         out.append((order[v_lo:v_hi], sub))
     return out
 
@@ -251,11 +311,6 @@ def _component_label(g: Graph, u: int, v: int) -> int:
 
 
 def is_bipartite(g: Graph) -> list[bool]:
-    """Two-colorability of each connected component, indexed by label: a
-    component is bipartite unless an edge joins two vertices of one colour."""
-    label, colour = _traverse(g.n, g.edges)
-    result = [True] * g.num_components
-    for u, v in g.edges:
-        if colour[u] == colour[v]:
-            result[label[u]] = False
-    return result
+    """Two-colorability of each connected component, indexed by label,
+    decided once per graph."""
+    return list(g._bipartite)

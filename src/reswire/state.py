@@ -147,10 +147,10 @@ class _Component:
         self.verts, self.size = verts, n
         self._m, self._n2 = m, None  # N, or N's diagonal once packed: see `_build_n`
         self._v, self._p = None, 0  # pending rows, allocated on the first delay
-        a, b = np.array(sub.edges, dtype=np.int64).reshape(-1, 2).T
+        a, b = sub._edge_array.T
         # ||L + J/n||_inf = 1 + 2 d_max (1 - 1/n), the largest row's; the band
         # waits for ||M||_inf, read when N is built (never in the random baseline)
-        self._norm_a = 1.0 + 2.0 * np.bincount(np.concatenate([a, b])).max() * (1.0 - 1.0 / n)
+        self._norm_a = 1.0 + 2.0 * gr.degrees(sub).max() * (1.0 - 1.0 / n)
         self.band = None
         self._bounds = bounds = _block_bounds(n)
         self._rows = rows = min(n, sp.BLOCK_ROWS if len(bounds) == 2 else PACKED_ROWS)
@@ -164,12 +164,15 @@ class _Component:
         self._above = [[] for _ in range(n)]
         for x, y in sub.edges:
             self._above[x].append(y)
+        self._packed, self._block = False, None  # set when N is built
+        if len(self._chunks) == 1:
+            self._edges = [a * n + b]
+            return
         starts = np.array([chunk[0] for chunk in self._chunks])
         k = starts.searchsorted(a, side="right") - 1
         r0 = starts[k]
         self._edges = np.split((a - r0) * (n - r0) + b - r0,
                                k.searchsorted(np.arange(1, len(starts))))
-        self._packed, self._block = False, None  # set when N is built
 
     @property
     def m(self) -> np.ndarray:
