@@ -1,9 +1,8 @@
 """Simple undirected graph representation and matrix constructors.
 
-Vertices are 0-indexed. Edges are stored as sorted (u, v) tuples with u < v,
-and once as a read-only (m, 2) int64 array that the matrix constructors
-read. Graphs are immutable after construction; all matrix constructors
-return dense numpy arrays that are exactly symmetric.
+Vertices are 0-indexed. Edges are stored as sorted (u, v) tuples with u < v.
+Graphs are immutable after construction; all matrix constructors return dense
+numpy arrays that are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -45,24 +44,9 @@ class Graph:
         """New graph with additional edges (deduplicated, revalidated)."""
         return build_graph(self.n, list(self.edges) + list(extra))
 
-    # Computed once per graph; `_graph` sets the first two from its own work.
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        e.flags.writeable = False
-        return e
-
-    @cached_property
-    def _colour(self) -> list[int]:
-        return _traverse(self.n, self.edges)[1]
-
-    @cached_property
-    def _bipartite(self) -> tuple[bool, ...]:
-        """A component is bipartite unless an edge joins two vertices of one colour."""
-        (u, v), colour = self._edge_array.T, np.array(self._colour, dtype=bool)
-        odd = np.bincount(np.array(self.component_id, dtype=np.int64)[u],
-                          colour[u] == colour[v], minlength=self.num_components)
-        return tuple((odd == 0).tolist())
+    # Computed once per graph, or set by `_graph` from its own work.
+    _edge_array = cached_property(lambda self: np.array(self.edges, dtype=np.int64).reshape(-1, 2))
+    _colour = cached_property(lambda self: _traverse(self.n, self.edges)[1])
 
 
 def _traverse(n: int, edges) -> tuple[list[int], list[int]]:
@@ -90,11 +74,8 @@ def _traverse(n: int, edges) -> tuple[list[int], list[int]]:
 
 
 def _graph(n: int, e: np.ndarray) -> Graph:
-    """The Graph of a canonical edge array (rows u < v, sorted, no repeats),
-    which it keeps, read-only, with the labels and colours of one walk. Its
-    edge tuples share one int object per vertex."""
-    e.flags.writeable = False
-    edges = tuple(zip(*np.arange(n, dtype=object)[e].T.tolist()))
+    """The Graph of a canonical edge array (rows u < v, sorted, no repeats)."""
+    edges = tuple(zip(*np.arange(n, dtype=object)[e].T.tolist()))  # one int per vertex
     comp, colour = _traverse(n, edges)
     g = Graph(n=n, edges=edges, component_id=tuple(comp))
     g.__dict__.update(_edge_array=e, _colour=colour)
@@ -120,12 +101,11 @@ def build_graph(n: int, edges) -> Graph:
 def from_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list.
 
-    Format: two whitespace-separated non-negative integers per line, read
-    as Python's int() reads them; more columns are ignored. Lines starting
-    with '#' are ignored; an optional first non-comment line "n=<int>"
-    forces the vertex count (needed for trailing isolated vertices). Duplicate
-    edges collapse with a warning; self-loops are hard errors, and so is a
-    vertex count or index that leaves n outside int64.
+    Format: two whitespace-separated integers in 0..2^63-2 per line, as int()
+    reads them, further columns ignored; lines starting with '#' are ignored;
+    an optional first non-comment line "n=<int>" forces the vertex count
+    (needed for trailing isolated vertices), at most 2^63-1. Duplicate edges
+    collapse with a warning; self-loops are hard errors.
     """
     lines, forced_n, skip = text.splitlines(), None, 0
     first = next((i for i, s in enumerate(lines) if s.lstrip()[:1] not in ("", "#")), None)
@@ -139,41 +119,32 @@ def from_edge_list(text: str) -> Graph:
                                      "vertex count does not fit in int64", line=first + 1)
         skip = first + 1  # the lines before the header are blank or comments
     e, at = map(np.concatenate, zip(*[_read_block(lines[i:i + _BLOCK_LINES], i + 1)
-                                      for i in range(skip, max(len(lines), skip + 1),
-                                                     _BLOCK_LINES)]))
+                                      for i in range(skip, len(lines) + 1, _BLOCK_LINES)]))
     del lines
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-    max_idx = int(hi.max()) if len(hi) else -1
-    # one sort of u (max_idx + 1) + v, or of the pairs' ranks where that overflows
-    key = lo * (max_idx + 1) + hi if max_idx < 2 ** 31 else np.unique(
-        np.stack((lo, hi), axis=1), axis=0, return_inverse=True)[1].ravel()
-    order = key.argsort(kind="stable")  # by u, then v, then line
-    dup = key[order[1:]] == key[order[:-1]]
-    if dup.any():
-        warnings.warn(f"duplicate edges collapsed (lines {sorted(at[order[1:][dup]].tolist())})",
-                      stacklevel=2)
-        order = order[np.concatenate(([True], ~dup))]
+    order = np.lexsort((hi, lo))  # by u, then v, then line
+    e, at = np.stack((lo[order], hi[order]), axis=1), at[order]
+    dup = np.flatnonzero((e[1:] == e[:-1]).all(axis=1)) + 1
+    if len(dup):
+        warnings.warn(f"duplicate edges collapsed (lines {sorted(at[dup].tolist())})", stacklevel=2)
+        e = np.delete(e, dup, axis=0)
+    max_idx = int(e[:, 1].max()) if len(e) else -1
     if forced_n is not None and forced_n <= max_idx:
         raise EdgeListParseError(f"header n={forced_n} smaller than max vertex index {max_idx}")
-    n = max_idx + 1 if forced_n is None else forced_n
-    return _graph(n, np.stack((lo[order], hi[order]), axis=1))
+    return _graph(max_idx + 1 if forced_n is None else forced_n, e)
 
 
 def _read_block(block: list[str], first: int) -> tuple[np.ndarray, np.ndarray]:
-    """(edges as read, their line numbers) of the lines in `block`, the
-    first of which is line `first`. Split a block at a time, which bounds
-    the token objects alive at once; EdgeListParseError at the first faulty
-    line, found by masks: each check after the first sees only the lines
-    before the earliest fault found so far."""
+    """(edges, line numbers) of the lines in `block`, from line `first` on;
+    EdgeListParseError at the first faulty line, with that line's first fault."""
     chunk, fault = "\n".join(block), None
     if _PLAIN.fullmatch(chunk):  # strtoll reads plain decimals as int() does, up to _INT64_MAX
         e, at = np.fromstring(chunk, dtype=np.int64, sep=" "), np.arange(first, first + len(block))
     else:
-        rows = list(map(str.split, block, repeat(None), repeat(2)))  # <= 3 tokens a line
+        rows, vals = list(map(str.split, block, repeat(None), repeat(2))), []  # <= 3 tokens
         keep = np.fromiter(map(bool, rows), bool, len(rows)) & ~np.fromiter(
             map(str.startswith, map(str.lstrip, block), repeat("#")), bool, len(block))
         at, rows = np.flatnonzero(keep) + first, list(compress(rows, keep.tolist()))
-        vals = []
         try:  # a row at a time; on an error, vals keeps the tokens converted before it
             vals.extend(map(int, chain.from_iterable(map(itemgetter(0, 1), rows))))
         except (IndexError, ValueError) as exc:
@@ -182,15 +153,12 @@ def _read_block(block: list[str], first: int) -> tuple[np.ndarray, np.ndarray]:
                         else "expected two integer tokens")
             del vals[2 * j:]
         e = np.array(vals, dtype=object).clip(-1, _INT64_MAX).astype(np.int64)  # faults kept
-    e = e.reshape(-1, 2)
-    if len(e) and not 0 <= e.min() <= e.max() < _INT64_MAX:
-        j = int(((e < 0) | (e == _INT64_MAX)).any(axis=1).argmax())
-        fault = j, ("negative vertex index" if e[j].min() < 0 else
-                    "vertex index too large: the vertex count must fit in int64")
-        e = e[:j]
-    loops = np.flatnonzero(e[:, 0] == e[:, 1])
-    if len(loops):
-        fault = int(loops[0]), f"self-loop at vertex {e[loops[0], 0]}"
+    e = e.reshape(-1, 2)  # rows before any token fault: a fault found here comes first
+    bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e == _INT64_MAX)).any(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        fault = j, ("negative vertex index" if e[j].min() < 0 else "vertex index too large"
+                    if e[j].max() == _INT64_MAX else f"self-loop at vertex {e[j, 0]}")
     if fault:
         raise EdgeListParseError(fault[1], line=int(at[fault[0]]))
     return e, at
@@ -272,11 +240,8 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     order = np.argsort(label, kind="stable")
     local = np.empty(g.n, dtype=np.int64)
     local[order] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    e = g._edge_array
-    e_label = label[e[:, 0]]
-    e_sub = local[e[np.argsort(e_label, kind="stable")]]
-    e_sub.flags.writeable = False
-    e_local = e_sub.tolist()
+    e_label = label[g._edge_array[:, 0]]
+    e_local = local[g._edge_array[np.argsort(e_label, kind="stable")]].tolist()
     v_end = np.cumsum(sizes).tolist()
     e_end = np.cumsum(np.bincount(e_label, minlength=g.num_components)).tolist()
     out = []
@@ -286,8 +251,6 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
         sub = _SINGLETON if v_hi - v_lo == 1 else Graph(
             n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
             component_id=(0,) * (v_hi - v_lo))
-        if sub is not _SINGLETON:
-            sub.__dict__["_edge_array"] = e_sub[e_lo:e_hi]
         out.append((order[v_lo:v_hi], sub))
     return out
 
@@ -311,6 +274,8 @@ def _component_label(g: Graph, u: int, v: int) -> int:
 
 
 def is_bipartite(g: Graph) -> list[bool]:
-    """Two-colorability of each connected component, indexed by label,
-    decided once per graph."""
-    return list(g._bipartite)
+    """Two-colorability of each connected component, indexed by label: a
+    component is bipartite unless an edge joins two vertices of one colour."""
+    (u, v), colour = g._edge_array.T, np.array(g._colour, dtype=bool)
+    return (np.bincount(np.array(g.component_id, dtype=np.int64)[u], colour[u] == colour[v],
+                        minlength=g.num_components) == 0).tolist()

@@ -91,10 +91,8 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
 
 
 def _inf_norm(x: np.ndarray) -> float:
-    """||x||_inf (largest absolute row sum), block of rows by block of rows
-    past CHOLESKY_ROWS rows; NaN or inf if x is not finite."""
-    if len(x) <= CHOLESKY_ROWS:
-        return float(np.abs(x).sum(axis=1).max())
+    """||x||_inf (largest absolute row sum), block of rows by block of rows;
+    NaN or inf if x is not finite."""
     return float(np.max([np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max()
                          for i in range(0, len(x), BLOCK_ROWS)]))
 

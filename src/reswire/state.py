@@ -164,15 +164,12 @@ class _Component:
         self._above = [[] for _ in range(n)]
         for x, y in sub.edges:
             self._above[x].append(y)
-        self._packed, self._block = False, None  # set when N is built
-        if len(self._chunks) == 1:
-            self._edges = [a * n + b]
-            return
         starts = np.array([chunk[0] for chunk in self._chunks])
         k = starts.searchsorted(a, side="right") - 1
         r0 = starts[k]
         self._edges = np.split((a - r0) * (n - r0) + b - r0,
                                k.searchsorted(np.arange(1, len(starts))))
+        self._packed, self._block = False, None  # set when N is built
 
     @property
     def m(self) -> np.ndarray:

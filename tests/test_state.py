@@ -675,9 +675,10 @@ class TestMemory:
 class TestReaderMemory:
     """tracemalloc peak of `from_edge_list`, and what the graph it returns
     holds, on a generated n=1600, 4800-edge list. The per-line reader took
-    1.23 MB and left 0.61 MB on this text; the block reader takes 0.83 MB
-    and leaves 0.35 MB (CPython 3.11, numpy 2.4): its edge tuples share
-    one int per vertex beside the kept edge array."""
+    1.23 MB and left 0.61 MB on this text; the block reader takes 0.71 MB
+    (0.72 MB with a third column) and leaves 0.35 MB (CPython 3.11, numpy
+    2.4): its edge tuples share one int per vertex beside the kept edge
+    array."""
 
     @staticmethod
     def _text(extra):
