@@ -82,11 +82,11 @@ def cmd_rewire(args) -> int:
     written = {}  # input -> (edge-list path, plan path)
     if args.output:
         out = Path(args.output)
-        if len(inputs) == 1:
-            written = {inputs[0]: (out, out.with_suffix(out.suffix + ".plan.json"))}
-        else:  # named by the input's stem
+        if args.input_dir:  # a directory of outputs named by each input's stem
             written = {path: (out / f"{Path(path).stem}.rewired.el",
                               out / f"{Path(path).stem}.plan.json") for path in inputs}
+        else:
+            written = {inputs[0]: (out, out.with_suffix(out.suffix + ".plan.json"))}
         writers = {}
         for path, (edge_path, _) in written.items():
             other = writers.setdefault(edge_path, path)
@@ -95,7 +95,7 @@ def cmd_rewire(args) -> int:
                       file=sys.stderr)
                 return 2
         if not _writable([p for pair in written.values() for p in pair],
-                         make_parents=len(inputs) > 1):
+                         make_parents=bool(args.input_dir)):
             return 2
 
     def outputs(path, g, plan):
@@ -105,8 +105,6 @@ def cmd_rewire(args) -> int:
     for path, error, kept in _plans(inputs, args, outputs):
         if error:
             print(error, file=sys.stderr)
-            if len(inputs) == 1:
-                return 2
             continue
         payload, edge_text = kept
         if args.output:
@@ -442,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, directory=False):
-        p.add_argument("--input", help="edge-list file")
+        source = p.add_mutually_exclusive_group() if directory else p
+        source.add_argument("--input", help="edge-list file")
         if directory:
-            p.add_argument("--input-dir", help="directory of edge-list files")
+            source.add_argument("--input-dir", help="directory of edge-list files")
         p.add_argument("--output", help="output path (default: stdout)")
 
     def add_plan(p, func):

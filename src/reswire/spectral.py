@@ -10,13 +10,13 @@ component,
 
 M itself is formed without an LU solve: L + 11^T/n is symmetric positive
 definite on a connected component, so `regularized_inverse_dense` factors it
-as C C^T and inverts C in the Laplacian's own storage (one recursive pass),
-then forms M = C^{-T} C^{-1} there too (recursive lauum), exactly
-symmetric. Every product goes a panel of CHOLESKY_ROWS rows at a time, so
-the set-up holds the Laplacian's n^2 doubles plus one CHOLESKY_ROWS * n
-workspace, where an LU inverse needs 4 n^2. The independent
-routes to the same quantities (pseudoinverses, minimum-norm flows, the power
-series) live in `verify`.
+as C C^T and inverts C in the Laplacian's own storage (one left-to-right
+loop over panels of CHOLESKY_ROWS rows), then forms M = C^{-T} C^{-1} there
+too (one top-down loop, LAPACK's lauum), exactly symmetric. Every product
+goes a panel at a time, so the set-up holds the Laplacian's n^2 doubles
+plus one CHOLESKY_ROWS * n workspace, where an LU inverse needs 4 n^2. The
+independent routes to the same quantities (pseudoinverses, minimum-norm
+flows, the power series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
@@ -45,7 +45,7 @@ from .errors import DisconnectedGraphError, IllConditionedError
 
 RCOND_LIMIT = 1e-12
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
-CHOLESKY_ROWS = 128  # leaf rows of the set-up's recursions and the certificate's blocks
+CHOLESKY_ROWS = 128  # rows per panel of the set-up's loops and per block of the certificate
 TRIANGLE_LEAF = 32  # rows at which `_invert_lower` stops recursing
 LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
 LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
@@ -60,11 +60,12 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
 
     A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
     potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
-    C C^T and C^{-1} in place (`_factor_inverse`), then M = C^{-T} C^{-1}
-    in place (`_lauum`, then one blocked mirror), exactly symmetric. Every
-    product goes a panel of CHOLESKY_ROWS rows at a time, so beside `lap`
-    the route holds one workspace of CHOLESKY_ROWS * n doubles, none when
-    n <= CHOLESKY_ROWS.
+    C C^T and X = C^{-1} in place (`_factor_inverse`), then the lower
+    triangle of M = X^T X in place by one top-down loop over panels of
+    CHOLESKY_ROWS rows (LAPACK's lauum), then one blocked mirror, so M is
+    exactly symmetric. Every product goes a panel at a time, so beside `lap`
+    the route holds one workspace of CHOLESKY_ROWS * n doubles; up to
+    CHOLESKY_ROWS rows it holds none, and one syrk forms M.
     IllConditionedError if a pivot is not positive, or if M is not finite
     or the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
     n = len(lap)
@@ -75,10 +76,14 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
         _factor_inverse(lap, work)
     except np.linalg.LinAlgError:
         raise IllConditionedError("regularized Laplacian is not positive definite") from None
-    _lauum(lap, work)
-    del work  # not kept alive by the traceback of an rcond error
-    if n > CHOLESKY_ROWS:  # the panels wrote the lower triangle: mirror it up
-        for r0, r1 in _panels(n):
+    if work is None:
+        lap[...] = lap.T @ lap
+    else:
+        for r0, r1 in _panels(n):  # top-down: M's rows r0:r1 read X's rows >= r0 only
+            lap[r0:r1, :r1] = np.matmul(lap[r0:, r0:r1].T, lap[r0:, :r1],
+                                        out=_work(work, r1 - r0, r1))
+        del work  # before the mirror's temporaries; not kept alive by an rcond error
+        for r0, r1 in _panels(n):  # the panels wrote the lower triangle: mirror it up
             d = lap[r0:r1, r0:r1]
             d[...] = np.tril(d) + np.tril(d, -1).T
             lap[r0:r1, r1:] = lap[r1:, r0:r1].T
@@ -108,54 +113,32 @@ def _panels(rows: int) -> list[tuple[int, int]]:
 
 
 def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
-    """A = C C^T, then C <- C^{-1}, in place: the lower triangle of `a` (the
-    only part read) becomes C^{-1}, zeros above it. 2 x 2 block recursion
-    (Gustavson, IBM J. Res. Dev. 41, 1997) split at multiples of
-    CHOLESKY_ROWS, whose diagonal blocks are the leaves (np.linalg.cholesky,
-    then `_invert_lower`): X11 = C11^{-1}, C21 = A21 X11^T, A22 -= C21 C21^T
-    (lower triangle), X22 = C22^{-1}, X21 = -X22 C21 X11. Each product is
-    formed a panel of rows at a time through `work`, in an order that reads
-    only rows not yet overwritten. LinAlgError if a pivot is not positive."""
+    """A = C C^T, then X = C^{-1}, in place: the lower triangle of `a` (the
+    only part read) becomes X, with zeros above the diagonal inside each
+    diagonal block. One left-to-right loop over panels of CHOLESKY_ROWS
+    rows (LAPACK's blocked potrf, left-looking, and trtri): panel [r0, r1)
+    takes A[r0:, r0:r1] -= C[r0:, :r0] C[r0:r1, :r0]^T, factors its diagonal
+    block into X11 = C11^{-1} (np.linalg.cholesky, then `_invert_lower`),
+    forms C21 = A21 X11^T, and last sets X[r0:r1, :r0] = -X11 C[r0:r1, :r0]
+    X[:r0, :r0], so it reads C only in its own rows and below. Each product
+    goes a panel of rows through `work` (None up to CHOLESKY_ROWS rows,
+    where the loop is one cholesky and one `_invert_lower`). LinAlgError
+    if a pivot is not positive."""
     n = len(a)
-    if n <= CHOLESKY_ROWS:
-        a[...] = np.linalg.cholesky(a)
-        _invert_lower(a)
-        return
-    h = CHOLESKY_ROWS * -(-n // (2 * CHOLESKY_ROWS))
-    a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
-    _factor_inverse(a11, work)
-    panels = _panels(n - h)
-    for r0, r1 in panels:
-        a21[r0:r1] = np.matmul(a21[r0:r1], a11.T, out=_work(work, r1 - r0, h))
-    for r0, r1 in panels:
-        a22[r0:r1, :r1] -= np.matmul(a21[r0:r1], a21[:r1].T, out=_work(work, r1 - r0, r1))
-    _factor_inverse(a22, work)
-    for r0, r1 in reversed(panels):  # bottom-up: row r of X22 C21 reads C21's rows <= r
-        x22c21 = np.matmul(a22[r0:r1, :r1], a21[:r1], out=_work(work, r1 - r0, h))
-        np.matmul(x22c21, a11, out=a21[r0:r1])
-    np.negative(a21, out=a21)
-    a[:h, h:] = 0.0
-
-
-def _lauum(x: np.ndarray, work: np.ndarray | None) -> None:
-    """The lower triangle of X^T X in place of a lower-triangular X with
-    zeros above it (LAPACK's lauum, recursive): one syrk up to
-    CHOLESKY_ROWS rows, else M11 = X11^T X11 + X21^T X21 (lower triangle),
-    M21 = X22^T X21 (top-down: its row r reads X21's rows >= r), then
-    M22 = X22^T X22, a panel of rows at a time through `work`. The entries
-    above the diagonal are left stale."""
-    n = len(x)
-    if n <= CHOLESKY_ROWS:
-        x[...] = x.T @ x
-        return
-    h = n // 2
-    x11, x21, x22 = x[:h, :h], x[h:, :h], x[h:, h:]
-    _lauum(x11, work)
-    for r0, r1 in _panels(h):
-        x11[r0:r1, :r1] += np.matmul(x21[:, r0:r1].T, x21[:, :r1], out=_work(work, r1 - r0, r1))
-    for r0, r1 in _panels(n - h):
-        x21[r0:r1] = np.matmul(x22[r0:, r0:r1].T, x21[r0:], out=_work(work, r1 - r0, h))
-    _lauum(x22, work)
+    panels = _panels(n)
+    for p, (r0, r1) in enumerate(panels):
+        for s0, s1 in panels[p:] if p else ():  # none for panel 0 (no work when n <= CHOLESKY_ROWS)
+            a[s0:s1, r0:r1] -= np.matmul(a[s0:s1, :r0], a[r0:r1, :r0].T,
+                                         out=_work(work, s1 - s0, r1 - r0))
+        x11 = a[r0:r1, r0:r1]
+        x11[...] = np.linalg.cholesky(x11)
+        _invert_lower(x11)
+        for s0, s1 in panels[p + 1:]:  # C21 = A21 X11^T
+            c21 = a[s0:s1, r0:r1]
+            c21[...] = np.matmul(c21, x11.T, out=_work(work, s1 - s0, r1 - r0))
+        for c0, c1 in panels[:p]:  # X[:r0, :r0] is lower triangular: its panel c0 starts at row c0
+            t = np.matmul(a[r0:r1, c0:r0], a[c0:r0, c0:c1], out=_work(work, r1 - r0, c1 - c0))
+            np.matmul(x11, np.negative(t, out=t), out=a[r0:r1, c0:c1])
 
 
 def _invert_lower(c: np.ndarray) -> None:

@@ -195,6 +195,26 @@ class TestRewire:
         _assert_unwritable(["rewire", *source, "--k", "1", "--output", str(out)],
                            out, tmp_path, monkeypatch, capsys)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_input_dir_output_is_a_directory(self, tmp_path, monkeypatch, capsys, count):
+        # --input-dir writes <stem>.rewired.el and <stem>.plan.json into
+        # --output however many files it holds, one included
+        d = tmp_path / "in"
+        d.mkdir()
+        names = ["a", "b"][:count]
+        for name in names:
+            (d / f"{name}.el").write_text(P5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "out"
+        assert main(["rewire", "--input-dir", str(d), "--k", "1", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{name}{suffix}" for name in names for suffix in (".plan.json", ".rewired.el"))
+        for name in names:
+            plan = json.loads((out / f"{name}.plan.json").read_text())
+            assert plan["input"] == str(d / f"{name}.el") and len(plan["edges"]) == 1
+            assert (out / f"{name}.rewired.el").read_text().count("\n") == 6  # header, 4 + 1 edges
+
     @pytest.mark.parametrize("method", ["gtr", "random"])
     def test_json_floats_exact(self, g30_file, capsys, method):
         # json writes each float by repr, which reads back as the same double
@@ -392,6 +412,17 @@ class TestCurve:
         out = tmp_path / output
         _assert_unwritable(["curve", "--input-dir", str(tmp_path), "--k", "1",
                             "--output", str(out)], out, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("command", ["curve", "rewire"])
+    def test_input_and_input_dir_exit_2(self, p5_file, tmp_path, monkeypatch, command, capsys):
+        # the two sources exclude each other: neither is dropped in silence
+        monkeypatch.setattr(cli, "_load_graph", lambda path: pytest.fail("read an input"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(p5_file), "--input-dir", str(tmp_path), "--k", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--input-dir: not allowed with argument --input" in captured.err
 
     @pytest.mark.parametrize("command", ["curve", "rewire"])
     @pytest.mark.parametrize("missing", ["nope", "p5.el"])

@@ -150,25 +150,26 @@ class TestRegularizedInverse:
         assert np.isnan(sp._inf_norm(x))
 
     def test_nan_in_m_past_first_block_raises(self, monkeypatch):
-        """M is not finite (a NaN at row 150 of n=200, past the first
-        BLOCK_ROWS rows): the rcond check raises IllConditionedError."""
+        """M is not finite: a NaN planted at [150, 150] of X = C^{-1} for
+        n=200 (in the second panel, past the first BLOCK_ROWS rows) reaches
+        M through the lauum loop, and the rcond check raises
+        IllConditionedError."""
         lap = laplacian(random_connected_graph(random.Random(5), 200, 0.05))
-        lauum = sp._lauum
+        factor_inverse = sp._factor_inverse
 
-        def planted(x, work):
-            lauum(x, work)
-            if len(x) == len(lap):  # the top call, not the recursion's
-                x[150, 150] = np.nan
+        def planted(a, work):
+            factor_inverse(a, work)
+            a[150, 150] = np.nan
 
-        monkeypatch.setattr(sp, "_lauum", planted)
+        monkeypatch.setattr(sp, "_factor_inverse", planted)
         with pytest.raises(IllConditionedError):
             regularized_inverse_dense(lap)
 
     @pytest.mark.parametrize("n", [255, 256, 257, 384, 385, 512, 513, 897])
     def test_split_points(self, n):
-        """Sizes on both sides of the recursive splits of the factor (at
-        multiples of 128 rows) and of the in-place product (at n/2): the
-        same checks as `test_block_boundaries`."""
+        """Sizes on both sides of the panel boundaries of the factor and
+        of the in-place product (multiples of 128 rows), with a full or a
+        ragged last panel: the same checks as `test_block_boundaries`."""
         rng = random.Random(n)
         for g in (random_connected_graph(rng, n, 0.05), path_graph(n), complete_graph(n)):
             a = laplacian(g) + 1.0 / n
