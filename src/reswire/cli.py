@@ -82,7 +82,7 @@ def cmd_rewire(args) -> int:
     written = {}  # input -> (edge-list path, plan path)
     if args.output:
         out = Path(args.output)
-        if args.input_dir:  # a directory of outputs named by each input's stem
+        if args.input_dir is not None:  # a directory of outputs named by each input's stem
             written = {path: (out / f"{Path(path).stem}.rewired.el",
                               out / f"{Path(path).stem}.plan.json") for path in inputs}
         else:
@@ -95,7 +95,7 @@ def cmd_rewire(args) -> int:
                       file=sys.stderr)
                 return 2
         if not _writable([p for pair in written.values() for p in pair],
-                         make_parents=bool(args.input_dir)):
+                         make_parents=args.input_dir is not None):
             return 2
 
     def outputs(path, g, plan):
@@ -206,7 +206,7 @@ def _tolerance(text: str) -> float:
 
 
 def _gather_inputs(args):
-    if getattr(args, "input_dir", None):
+    if args.input_dir is not None:
         try:
             files = sorted(Path(args.input_dir).glob("*.el")) or sorted(
                 p for p in Path(args.input_dir).iterdir() if p.is_file())
@@ -217,10 +217,7 @@ def _gather_inputs(args):
             print(f"error: no input files in {args.input_dir}", file=sys.stderr)
             return None
         return files
-    if args.input:
-        return [args.input]
-    print("error: --input or --input-dir required", file=sys.stderr)
-    return None
+    return [args.input]
 
 
 # thread-count entry points of OpenBLAS (numpy's wheels, then plain) and MKL
@@ -440,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, directory=False):
-        source = p.add_mutually_exclusive_group() if directory else p
-        source.add_argument("--input", help="edge-list file")
+        source = p.add_mutually_exclusive_group(required=True) if directory else p
+        source.add_argument("--input", required=not directory, help="edge-list file")
         if directory:
             source.add_argument("--input-dir", help="directory of edge-list files")
         p.add_argument("--output", help="output path (default: stdout)")

@@ -241,16 +241,19 @@ def components(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     local = np.empty(g.n, dtype=np.int64)
     local[order] = np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     e_label = label[g._edge_array[:, 0]]
-    e_local = local[g._edge_array[np.argsort(e_label, kind="stable")]].tolist()
+    e_local = local[g._edge_array[np.argsort(e_label, kind="stable")]]
+    rows = e_local.tolist()
     v_end = np.cumsum(sizes).tolist()
     e_end = np.cumsum(np.bincount(e_label, minlength=g.num_components)).tolist()
     out = []
     for v_lo, v_hi, e_lo, e_hi in zip([0] + v_end, v_end, [0] + e_end, e_end):
-        # No build_graph: relabelling a validated graph's sorted edges by a
-        # monotone map keeps them canonical, and a component is connected.
-        sub = _SINGLETON if v_hi - v_lo == 1 else Graph(
-            n=v_hi - v_lo, edges=tuple(map(tuple, e_local[e_lo:e_hi])),
-            component_id=(0,) * (v_hi - v_lo))
+        sub = _SINGLETON
+        if v_hi - v_lo > 1:
+            # No build_graph: relabelling a validated graph's sorted edges by a
+            # monotone map keeps them canonical, and a component is connected.
+            sub = Graph(n=v_hi - v_lo, edges=tuple(map(tuple, rows[e_lo:e_hi])),
+                        component_id=(0,) * (v_hi - v_lo))
+            sub.__dict__.update(_edge_array=e_local[e_lo:e_hi])
         out.append((order[v_lo:v_hi], sub))
     return out
 

@@ -10,13 +10,13 @@ component,
 
 M itself is formed without an LU solve: L + 11^T/n is symmetric positive
 definite on a connected component, so `regularized_inverse_dense` factors it
-as C C^T and inverts C in the Laplacian's own storage (one left-to-right
-loop over panels of CHOLESKY_ROWS rows), then forms M = C^{-T} C^{-1} there
-too (one top-down loop, LAPACK's lauum), exactly symmetric. Every product
-goes a panel at a time, so the set-up holds the Laplacian's n^2 doubles
-plus one CHOLESKY_ROWS * n workspace, where an LU inverse needs 4 n^2. The
-independent routes to the same quantities (pseudoinverses, minimum-norm
-flows, the power series) live in `verify`.
+as C C^T and inverts C in the Laplacian's own storage (left to right over
+CHOLESKY_ROWS-row panels, each diagonal block by LAPACK's trtri loop over
+TRIANGLE_LEAF rows), then forms M = C^{-T} C^{-1} there too (top down,
+LAPACK's lauum), exactly symmetric. Every product goes a panel at a time, so
+the set-up holds n^2 doubles plus one CHOLESKY_ROWS * n workspace, where an
+LU inverse needs 4 n^2. The independent routes to the same quantities
+(pseudoinverses, minimum-norm flows, the power series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
@@ -46,7 +46,7 @@ from .errors import DisconnectedGraphError, IllConditionedError
 RCOND_LIMIT = 1e-12
 BLOCK_ROWS = 64  # rows per block of the dense O(n^2) kernels (no n x n temporaries)
 CHOLESKY_ROWS = 128  # rows per panel of the set-up's loops and per block of the certificate
-TRIANGLE_LEAF = 32  # rows at which `_invert_lower` stops recursing
+TRIANGLE_LEAF = 32  # rows per panel of `_invert_lower`'s trtri loop, each inverted by LU
 LANCZOS_TOL = 1e-10  # Ritz residual relative to the largest |Ritz value|
 LANCZOS_CHECK = 8  # least steps between Ritz extractions (one k x k eigh each)
 LANCZOS_MAX_STEPS = 256  # sigma_2 and mu take 40 and 150 at n=1600, degree 6; mu 176 at n=3200
@@ -107,9 +107,9 @@ def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return work[:rows * cols].reshape(rows, cols)
 
 
-def _panels(rows: int) -> list[tuple[int, int]]:
-    """(first row, end row) of each CHOLESKY_ROWS-row panel of `rows` rows."""
-    return [(r0, min(r0 + CHOLESKY_ROWS, rows)) for r0 in range(0, rows, CHOLESKY_ROWS)]
+def _panels(rows: int, height: int = CHOLESKY_ROWS) -> list[tuple[int, int]]:
+    """(first row, end row) of each `height`-row panel of `rows` rows."""
+    return [(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)]
 
 
 def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
@@ -143,23 +143,18 @@ def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
 
 def _invert_lower(c: np.ndarray) -> None:
     """C <- C^{-1} in place for a lower-triangular C with a positive
-    diagonal and zeros above it. 2 x 2 block recursion: invert both
-    diagonal halves, then C21 <- -C22^{-1} C21 C11^{-1} through one
-    (n/2)^2 temporary; np.linalg.inv from TRIANGLE_LEAF rows down."""
-    n = len(c)
-    if n <= TRIANGLE_LEAF:
+    diagonal and zeros above it, by LAPACK's blocked trtri: top down, each
+    TRIANGLE_LEAF-row panel [r0, r1) inverts its leaf X11 = C11^{-1}, then
+    sets X[r0:r1, :r0] = -X11 (C[r0:r1, :r0] X[:r0, :r0]) from rows above."""
+    for r0, r1 in _panels(len(c), TRIANGLE_LEAF):
+        x11 = c[r0:r1, r0:r1]
         # LU keeps the zeros above the diagonal unless it pivots (none of
         # 1328 leaves did on random graphs, trees, paths, cycles and
         # cliques); a pivot would leave entries there of the size of the
         # inverse's own roundoff
-        c[...] = np.linalg.inv(c)
-        return
-    h = n // 2
-    c11, c21, c22 = c[:h, :h], c[h:, :h], c[h:, h:]
-    _invert_lower(c11)
-    _invert_lower(c22)
-    np.matmul(c22 @ c21, c11, out=c21)
-    np.negative(c21, out=c21)
+        x11[...] = np.linalg.inv(x11)
+        if r0:  # none left of panel 0; nothing right of a leaf is written
+            c[r0:r1, :r0] = -x11 @ (c[r0:r1, :r0] @ c[:r0, :r0])
 
 
 _SINGLETON_M = np.ones((1, 1))
@@ -271,8 +266,7 @@ def _mu(g: gr.Graph) -> float:
         bound = 0.0
         for sign in (1.0, -1.0):
             # f = t I - sign B, upper triangle; each entry has <= 6 roundings
-            for i in range(0, n, BLOCK_ROWS):
-                np.multiply.outer(sign * v[i:i + BLOCK_ROWS], v, out=f[i:i + BLOCK_ROWS])
+            np.multiply.outer(sign * v, v, out=f)
             f[ahat.rows, ahat.cols] -= sign * ahat.weights
             f.flat[::n + 1] += t
             margin = _cholesky_margin(f)

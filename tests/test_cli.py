@@ -57,6 +57,19 @@ def _assert_unwritable(argv, named, tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["stats", "bounds", "rewire", "curve"])
+def test_no_input_exit_2(command, monkeypatch, capsys):
+    # a usage error naming the missing option, not a traceback with the
+    # verify-failure code 1
+    monkeypatch.setattr(cli, "_load_graph", lambda path: pytest.fail("read an input"))
+    with pytest.raises(SystemExit) as exc:
+        main([command] + (["--k", "1"] if command in ("rewire", "curve") else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--input" in captured.err and "required" in captured.err
+
+
 class TestStats:
     def test_p5(self, p5_file, capsys):
         assert main(["stats", "--input", str(p5_file)]) == 0
@@ -400,8 +413,6 @@ class TestCurve:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2
-        # no input given at all
-        assert main(["rewire", "--k", "1"]) == 2
         # no readable input
         (empty / "bad.el").write_text("0 0\n")
         assert main(["curve", "--input-dir", str(empty), "--k", "1"]) == 2

@@ -212,6 +212,9 @@ def test_components_are_relabelled_component_graphs(g):
         local = np.searchsorted(verts, [e for e in g.edges if labels[e[0]] == c])
         ref = build_graph(len(verts), local.reshape(-1, 2).tolist())
         assert (sub.n, sub.edges, sub.component_id) == (ref.n, ref.edges, ref.component_id)
+        if sub.n > 1:  # the split sets each edge array; none is rebuilt from the tuples
+            e = sub.__dict__["_edge_array"]
+            assert e.dtype == np.int64 and np.array_equal(e, np.array(sub.edges))
 
 
 @settings(max_examples=30, deadline=None)

@@ -186,6 +186,19 @@ class TestRegularizedInverse:
         lap = laplacian(random_connected_graph(random.Random(n), n, 0.05))
         assert regularized_inverse_dense(lap) is lap
 
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 96, 127, 128])
+    def test_invert_lower_panel_edges(self, n):
+        """Sizes on both sides of `_invert_lower`'s TRIANGLE_LEAF-row panel
+        edges: an LU inverse to 1e-13 of its largest entry, and exact zeros
+        above the diagonal."""
+        for g in (random_connected_graph(random.Random(n), n, 0.1), path_graph(n)):
+            c = np.linalg.cholesky(laplacian(g) + 1.0 / n)
+            x = c.copy()
+            sp._invert_lower(x)
+            ref = np.linalg.inv(c)
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert not np.triu(x, 1).any()
+
     @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 100, 127, 128])
     def test_small_component_calls(self, n):
         """Up to 128 rows M is cholesky, `_invert_lower` and syrk, bit for bit."""
