@@ -207,9 +207,10 @@ def _tolerance(text: str) -> float:
 
 def _gather_inputs(args):
     if args.input_dir is not None:
-        try:
-            files = sorted(Path(args.input_dir).glob("*.el")) or sorted(
-                p for p in Path(args.input_dir).iterdir() if p.is_file())
+        d = Path(args.input_dir)
+        try:  # regular files only: a directory named *.el is no input
+            files = sorted(p for p in d.glob("*.el") if p.is_file()) or sorted(
+                p for p in d.iterdir() if p.is_file())
         except OSError as exc:  # no such directory, or not a directory
             print(f"error: {exc}", file=sys.stderr)
             return None

@@ -403,6 +403,22 @@ class TestCurve:
         assert lines[1] == "0,10,1" and lines[2].endswith(",1") and len(lines) == 3
         assert re.fullmatch(r"error: \S*b\.el: [^\n]*\n", captured.err)
 
+    def test_directory_named_el_is_no_input(self, tmp_path, capsys):
+        # a directory sub.el beside a.el is skipped: one input, no error line
+        printed = []
+        for extra in (False, True):
+            d = tmp_path / str(extra)
+            d.mkdir()
+            (d / "a.el").write_text("0 1\n1 2\n")
+            if extra:
+                (d / "sub.el").mkdir()
+            assert main(["curve", "--input-dir", str(d), "--k", "1"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed[1] == printed[0]
+        assert printed[0].splitlines()[0] == "edges_added,rtot"
+
     def test_negative_k_exit_2(self, p5_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["curve", "--input", str(p5_file), "--k", "-1"])

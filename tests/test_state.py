@@ -25,7 +25,7 @@ from reswire import graph as gr
 from reswire import spectral as sp
 from reswire.rewiring import gtr, random_baseline
 from reswire.spectral import _inf_norm
-from reswire.state import _anti_transpose_lower, _Component
+from reswire.state import _Component
 from reswire.verify import (
     complete_graph,
     cycle_graph,
@@ -341,14 +341,23 @@ class TestPackedLayout:
     """A component of more than 128 vertices keeps M and N in one n^2 array
     once N exists; the materialised `m` and `n2` match a fresh state."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64, 127, 128, 129, 200, 257])
-    @pytest.mark.parametrize("step", [1, 3, 64])
-    def test_anti_transpose_lower(self, n, step):
-        a = np.arange(n * n, dtype=float).reshape(n, n)
-        x = a.copy()
-        _anti_transpose_lower(x, step)
-        assert np.array_equal(np.tril(x, -1), np.tril(a[::-1, ::-1].T, -1))
-        assert np.array_equal(np.triu(x), np.triu(a))
+    @pytest.mark.parametrize("n", [129, 200, 257, 300, 400, 640])
+    def test_build_n_placement(self, n):
+        """Middle rests split at n/2 (129, 200, 400) and kept whole as one
+        self-mirrored block (257, 300, 640): `_build_n` leaves P's upper
+        triangle as it was and writes N_ij at P[j, i] inside a block and
+        at P[i + s(i), j - hi(i)] right of it, s(i) = n - lo(i) - hi(i)."""
+        c = ResistanceState(random_connected_graph(random.Random(n), n, 0.02)).comps[0]
+        m = c._m.copy()
+        dense = m @ m
+        c._build_n()
+        p = c._m
+        assert np.array_equal(np.triu(p), np.triu(m))
+        got = np.diag(c._n2)
+        for lo, hi in zip(c._bounds[:-1], c._bounds[1:]):
+            got[lo:hi, lo:hi] += np.triu(p[lo:hi, lo:hi].T, 1)
+            got[lo:hi, hi:] = p[n - hi:n - lo, :n - hi]
+        assert np.max(np.abs(got - np.triu(dense))) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("sizes", [[127], [128], [129], [255], [256], [257], [300],
                                        [385], [129, 300], [127, 257, 128]])
