@@ -39,8 +39,8 @@ class BoundParams:
             raise ValueError("beta must be finite and at least 1")
         if self.r < 0:
             raise ValueError("layer count r must be non-negative")
-        if self.mu is not None and not self.mu >= 0:
-            raise ValueError("mu must be non-negative")
+        if self.mu is not None and not 0 <= self.mu < 1:
+            raise ValueError("mu must lie in [0, 1)")
 
 
 def _resolve_mu(g: gr.Graph, p: BoundParams, component: int | None = None) -> float:

@@ -15,8 +15,9 @@ CHOLESKY_ROWS-row panels, each diagonal block by LAPACK's trtri loop over
 TRIANGLE_LEAF rows), then forms M = C^{-T} C^{-1} there too (top down,
 LAPACK's lauum), exactly symmetric. Every product goes a panel at a time, so
 the set-up holds n^2 doubles plus one CHOLESKY_ROWS * n workspace, where an
-LU inverse needs 4 n^2. The independent routes to the same quantities
-(pseudoinverses, minimum-norm flows, the power series) live in `verify`.
+LU inverse needs 4 n^2; its rcond bound reads ||A||_inf from the degrees.
+The independent routes to the same quantities (pseudoinverses, minimum-norm
+flows, the power series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
@@ -67,10 +68,11 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     the route holds one workspace of CHOLESKY_ROWS * n doubles; up to
     CHOLESKY_ROWS rows it holds none, and one syrk forms M.
     IllConditionedError if a pivot is not positive, or if M is not finite
-    or the rcond lower bound 1/(||A||_inf ||M||_inf) is below RCOND_LIMIT."""
+    or the rcond lower bound 1/(||A||_inf ||M||_inf), with ||A||_inf read
+    from L's diagonal, the degrees (`_shifted_norm`), is below RCOND_LIMIT."""
     n = len(lap)
+    norm_a = _shifted_norm(lap.diagonal().max(), n)  # before the shift
     lap += 1.0 / n
-    norm_a = _inf_norm(lap)  # before the factor overwrites A
     work = np.empty(CHOLESKY_ROWS * n) if n > CHOLESKY_ROWS else None
     try:
         _factor_inverse(lap, work)
@@ -95,11 +97,20 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     return lap
 
 
+def _shifted_norm(d_max: float, n: int) -> float:
+    """||L + J/n||_inf for a Laplacian of n > 1 vertices and largest degree
+    d_max: each row of |L + J/n| sums to 1 + 2 d (1 - 1/n), d its degree."""
+    return 1.0 + 2.0 * d_max * (1.0 - 1.0 / n)
+
+
 def _inf_norm(x: np.ndarray) -> float:
-    """||x||_inf (largest absolute row sum), block of rows by block of rows;
-    NaN or inf if x is not finite."""
-    return float(np.max([np.abs(x[i:i + BLOCK_ROWS]).sum(axis=1).max()
-                         for i in range(0, len(x), BLOCK_ROWS)]))
+    """||x||_inf (largest absolute row sum), |x| a block of rows at a time
+    through one buffer into one vector of row sums; NaN or inf if not finite."""
+    sums, buf = np.empty(len(x)), np.empty((min(BLOCK_ROWS, len(x)), x.shape[1]))
+    for i in range(0, len(x), BLOCK_ROWS):
+        b = x[i:i + BLOCK_ROWS]
+        np.abs(b, out=buf[:len(b)]).sum(axis=1, out=sums[i:i + len(b)])
+    return float(sums.max())
 
 
 def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -361,12 +372,12 @@ def _cholesky_margin(a: np.ndarray) -> float | None:
 
 
 def rmax(g: gr.Graph) -> float:
-    """Largest pairwise resistance of a connected graph, taken block of
-    rows by block of rows (no n x n temporary)."""
+    """Largest pairwise resistance of a connected graph, BLOCK_ROWS / 4 rows
+    at a time: the (at most three) temporaries stay under one BLOCK_ROWS x n block."""
     if g.num_components != 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
     (_, m), = _inverses(g)
-    d = np.diag(m)
-    return float(max(np.max(d[lo:lo + BLOCK_ROWS, None] + d - 2.0 * m[lo:lo + BLOCK_ROWS])
-                     for lo in range(0, len(d), BLOCK_ROWS)))
+    d, rows = np.diag(m), BLOCK_ROWS // 4
+    return float(max(np.max(d[lo:lo + rows, None] + d - 2.0 * m[lo:lo + rows])
+                     for lo in range(0, len(d), rows)))
 

@@ -66,12 +66,12 @@ copies) and `_n_at`, one entry of N for `pair`, read the layout.
 Tie band. `best_candidate` returns the lexicographically first pair whose
 delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
 exact ties do not break by roundoff. kappa = ||A||_inf ||M||_inf of the
-pair's component (A = L + J/n, as in the set-up's rcond bound), with L
-from the set-up and M as N is built: for GTR, the set-up's M. Each scan
-block keeps its maximum and its first pair within the band of that
-maximum; the global band can only be narrower, so that pair is the
-block's answer unless its delta falls outside, and only then is the block
-scored again.
+pair's component (A = L + J/n), with ||A||_inf from the degrees by
+`spectral._shifted_norm`, the one definition the set-up's rcond bound also
+reads, and M as N is built: for GTR, the set-up's M. Each scan block keeps
+its maximum and its first pair within the band of that maximum; the global
+band can only be narrower, so that pair is the block's answer unless its
+delta falls outside, and only then is the block scored again.
 
 Each component works on local indices: its vertex array, its own graph
 and its M come from one `spectral.component_inverses` call (one split of
@@ -123,9 +123,8 @@ class _Component:
         self._m, self._n2 = m, None  # N, or N's diagonal once packed: see `_build_n`
         self._v, self._p = None, 0  # pending rows, allocated on the first delay
         a, b = sub._edge_array.T
-        # ||L + J/n||_inf = 1 + 2 d_max (1 - 1/n), the largest row's; the band
-        # waits for ||M||_inf, read when N is built (never in the random baseline)
-        self._norm_a = 1.0 + 2.0 * gr.degrees(sub).max() * (1.0 - 1.0 / n)
+        # the band waits for ||M||_inf, read when N is built (never in the random baseline)
+        self._norm_a = sp._shifted_norm(gr.degrees(sub).max(), n)
         self.band = None
         self._bounds = bounds = _block_bounds(n)
         self._rows = rows = min(n, sp.BLOCK_ROWS if len(bounds) == 2 else PACKED_ROWS)

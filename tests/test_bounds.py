@@ -34,6 +34,11 @@ class TestParams:
         with pytest.raises(ValueError):
             BoundParams(alpha=0.0)
 
+    @pytest.mark.parametrize("mu", [1.0, 1.5, float("inf"), float("nan")])
+    def test_mu_outside_unit_interval_rejected(self, mu):
+        with pytest.raises(ValueError):
+            BoundParams(mu=mu)
+
 
 class TestAdjacencyBound:
     def test_r0_diagonal(self, triangle):

@@ -276,6 +276,7 @@ class TestBounds:
     @pytest.mark.parametrize("option", [
         ("--r", "-1"), ("--alpha", "0"), ("--beta", "0.5"), ("--mu", "-0.1"),
         ("--alpha", "nan"), ("--alpha", "inf"),
+        ("--mu", "1.0"), ("--mu", "1.5"), ("--mu", "inf"),  # not bipartite input: exit 2, not 3
     ])
     def test_bad_parameter_exit_2(self, tmp_path, capsys, option):
         path = tmp_path / "c5chord.el"

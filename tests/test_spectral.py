@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -148,6 +149,31 @@ class TestRegularizedInverse:
         x = np.eye(200)
         x[150, 3] = np.nan
         assert np.isnan(sp._inf_norm(x))
+
+    def test_shifted_norm_matches_inf_norm(self):
+        """The closed form ||L + J/n||_inf = 1 + 2 d_max (1 - 1/n) equals
+        the row-sum pass over L + J/n within 4 ulps, n = 2..300."""
+        rng = random.Random(11)
+        graphs = [f(n) for n in (2, 3, 7, 64, 65, 129, 300)
+                  for f in (path_graph, cycle_graph, complete_graph,
+                            lambda n: build_graph(n, [(0, i) for i in range(1, n)]))
+                  if f is not cycle_graph or n > 2]
+        graphs += [random_connected_graph(rng, n, p) for n in (2, 5, 40, 130, 300)
+                   for p in (0.0, 0.05, 0.5)]
+        for g in graphs:
+            lap = laplacian(g)
+            got = sp._shifted_norm(lap.diagonal().max(), g.n)
+            want = sp._inf_norm(lap + 1.0 / g.n)
+            assert abs(got - want) <= 4 * np.spacing(want), (g.n, g.edges)
+
+    def test_inf_norm_reads_m_only(self, monkeypatch):
+        """The set-up's one ||.||_inf pass reads M: ||A||_inf comes from
+        the degrees, before A is shifted and factored."""
+        lap = laplacian(random_connected_graph(random.Random(3), 300, 0.02))
+        read, inf_norm = [], sp._inf_norm
+        monkeypatch.setattr(sp, "_inf_norm", lambda x: read.append(x) or inf_norm(x))
+        m = regularized_inverse_dense(lap)
+        assert len(read) == 1 and read[0] is m
 
     def test_nan_in_m_past_first_block_raises(self, monkeypatch):
         """M is not finite: a NaN planted at [150, 150] of X = C^{-1} for
@@ -397,6 +423,23 @@ class TestSpectralQuantities:
     def test_rmax_p7(self):
         g = path_graph(7)
         assert rmax(g) == pytest.approx(6)
+
+    def test_rmax_peak_within_one_block(self):
+        """rmax at n=1600 keeps its tracemalloc peak within one
+        BLOCK_ROWS x n block of doubles, and every bit of the max over
+        the whole resistance matrix."""
+        n = 1600
+        g = random_connected_graph(random.Random(21), n, 0.003)
+        (_, m), = sp._inverses(g)
+        tracemalloc.start()
+        try:
+            r = rmax(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sp.BLOCK_ROWS * n * 8
+        d = np.diag(m)
+        assert r == float(np.max(d[:, None] + d - 2.0 * m))
 
     def test_rmax_sandwich(self):
         for g in random_graphs(13, 10, 2, 15):
