@@ -13,9 +13,10 @@ definite on a connected component, so `regularized_inverse_dense` factors it
 as C C^T and inverts C in the Laplacian's own storage (left to right over
 CHOLESKY_ROWS-row panels, each diagonal block by LAPACK's trtri loop over
 TRIANGLE_LEAF rows), then forms M = C^{-T} C^{-1} there too (top down,
-LAPACK's lauum), exactly symmetric. Every product goes a panel at a time, so
-the set-up holds n^2 doubles plus one CHOLESKY_ROWS * n workspace, where an
-LU inverse needs 4 n^2; its rcond bound reads ||A||_inf from the degrees.
+LAPACK's lauum) in its lower triangle and diagonal panels, mirrored for the state
+by `component_inverses`. Every product goes a panel at a time, so the set-up
+holds n^2 doubles plus one CHOLESKY_ROWS * n workspace, where an LU inverse
+needs 4 n^2; its rcond bound reads ||A||_inf from the degrees.
 The independent routes to the same quantities (pseudoinverses, minimum-norm
 flows, the power series) live in `verify`.
 
@@ -57,22 +58,23 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component,
-    formed in `lap`'s own storage and returned as `lap`.
+    formed in `lap`'s lower triangle and diagonal panels alone; returns `lap`.
 
     A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
     potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
     C C^T and X = C^{-1} in place (`_factor_inverse`), then the lower
     triangle of M = X^T X in place by one top-down loop over panels of
-    CHOLESKY_ROWS rows (LAPACK's lauum), then one blocked mirror, so M is
+    CHOLESKY_ROWS rows (LAPACK's lauum), each diagonal panel then made
     exactly symmetric. Every product goes a panel at a time, so beside `lap`
     the route holds one workspace of CHOLESKY_ROWS * n doubles; up to
-    CHOLESKY_ROWS rows it holds none, and one syrk forms M.
+    CHOLESKY_ROWS rows it holds none, and one syrk forms all of M.
     IllConditionedError if a pivot is not positive, or if M is not finite
     or the rcond lower bound 1/(||A||_inf ||M||_inf), with ||A||_inf read
     from L's diagonal, the degrees (`_shifted_norm`), is below RCOND_LIMIT."""
     n = len(lap)
     norm_a = _shifted_norm(lap.diagonal().max(), n)  # before the shift
-    lap += 1.0 / n
+    for r0, r1 in _panels(n):
+        lap[r0:r1, :r1] += 1.0 / n
     work = np.empty(CHOLESKY_ROWS * n) if n > CHOLESKY_ROWS else None
     try:
         _factor_inverse(lap, work)
@@ -85,10 +87,9 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
             lap[r0:r1, :r1] = np.matmul(lap[r0:, r0:r1].T, lap[r0:, :r1],
                                         out=_work(work, r1 - r0, r1))
         del work  # before the mirror's temporaries; not kept alive by an rcond error
-        for r0, r1 in _panels(n):  # the panels wrote the lower triangle: mirror it up
+        for r0, r1 in _panels(n):  # each diagonal panel: its lower triangle mirrored up
             d = lap[r0:r1, r0:r1]
             d[...] = np.tril(d) + np.tril(d, -1).T
-            lap[r0:r1, r1:] = lap[r1:, r0:r1].T
     rcond = 1.0 / (norm_a * _inf_norm(lap))
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
@@ -103,14 +104,27 @@ def _shifted_norm(d_max: float, n: int) -> float:
     return 1.0 + 2.0 * d_max * (1.0 - 1.0 / n)
 
 
-def _inf_norm(x: np.ndarray) -> float:
-    """||x||_inf (largest absolute row sum), |x| a block of rows at a time
-    through one buffer into one vector of row sums; NaN or inf if not finite."""
-    sums, buf = np.empty(len(x)), np.empty((min(BLOCK_ROWS, len(x)), x.shape[1]))
-    for i in range(0, len(x), BLOCK_ROWS):
-        b = x[i:i + BLOCK_ROWS]
-        np.abs(b, out=buf[:len(b)]).sum(axis=1, out=sums[i:i + len(b)])
+def _inf_norm(m: np.ndarray) -> float:
+    """||M||_inf of a symmetric M: rows [r0, r1) sum |M| left of r1 along their rows and
+    right of it down their columns, each through one buffer; NaN or inf if not finite."""
+    n = len(m)
+    sums, buf = np.empty(n), np.empty(min(BLOCK_ROWS, n) * n)
+    for r0, r1 in _panels(n, BLOCK_ROWS):
+        left = np.abs(m[r0:r1, :r1], out=_work(buf, r1 - r0, r1)).sum(axis=1)
+        sums[r0:r1] = left + np.abs(m[r1:, r0:r1].T, out=_work(buf, r1 - r0, n - r1)).sum(axis=1)
     return float(sums.max())
+
+
+def _triangle_array(n: int) -> np.ndarray:
+    """n x n zeros for one triangle and the diagonal panels to be written: past
+    CHOLESKY_ROWS rows an anonymous mapping advised MADV_NOHUGEPAGE, whose 4 KB pages
+    become resident only when written (numpy's 2 MB pages straddle the diagonal)."""
+    if n <= CHOLESKY_ROWS:  # one diagonal panel
+        return np.zeros((n, n))
+    import mmap  # here: at import it raises every CLI call's peak
+    buf = mmap.mmap(-1, 8 * n * n)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf).reshape(n, n)
 
 
 def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -175,28 +189,42 @@ _SINGLETON_M.flags.writeable = False
 def component_inverses(g: gr.Graph):
     """Per-component (vertex array, own graph, M) triples from one split
     of `g`, ordered by component label, each M from the Laplacian of that
-    component's own graph. A one-vertex component has L + 11^T/n = [[1]],
-    so its M = [[1.0]] is not inverted: every one-vertex component shares
-    one read-only array."""
-    return [(verts, sub, _SINGLETON_M if sub.n == 1
-             else regularized_inverse_dense(gr.laplacian(sub)))
-            for verts, sub in gr.components(g)]
+    component's own graph, its lower triangle mirrored up exactly. A
+    one-vertex component has L + 11^T/n = [[1]], so its M = [[1.0]] is not
+    inverted: every one-vertex component shares one read-only array."""
+    out = [(verts, sub, _SINGLETON_M if sub.n == 1
+            else regularized_inverse_dense(gr.laplacian(sub)))
+           for verts, sub in gr.components(g)]
+    for _, sub, m in out:
+        for r0, r1 in _panels(sub.n)[:-1]:
+            m[r0:r1, r1:] = m[r1:, r0:r1].T
+    return out
+
+
+def _lower_laplacian(g: gr.Graph) -> np.ndarray:
+    """L's lower triangle and diagonal in a `_triangle_array`."""
+    e, lap = g._edge_array, _triangle_array(g.n)
+    lap[e[:, 1], e[:, 0]] = -1.0  # rows u < v
+    np.fill_diagonal(lap, gr.degrees(g))
+    return lap
 
 
 @lru_cache(maxsize=1)
 def _inverses(g: gr.Graph):
-    """The (vertex array, read-only M) pairs of `component_inverses`."""
-    pairs = tuple((verts, m) for verts, _, m in component_inverses(g))
+    """(vertex array, read-only M) per component, M unmirrored from `_lower_laplacian`."""
+    pairs = tuple((verts, _SINGLETON_M if sub.n == 1
+                   else regularized_inverse_dense(_lower_laplacian(sub)))
+                  for verts, sub in gr.components(g))
     for _, m in pairs:
         m.flags.writeable = False
     return pairs
 
 
 def _inverse_pair(g: gr.Graph, u: int, v: int):
-    """(cached M of u's component, local u, local v)."""
+    """(cached M of u's component, lower local index, higher local index)."""
     label = gr._component_label(g, u, v)  # before any inverse is computed
     verts, m = _inverses(g)[label]
-    return (m, *np.searchsorted(verts, (u, v)).tolist())
+    return (m, *sorted(np.searchsorted(verts, (u, v)).tolist()))
 
 
 def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
@@ -204,7 +232,7 @@ def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
         gr._component_label(g, u, v)
         return 0.0
     m, lu, lv = _inverse_pair(g, u, v)
-    return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
+    return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lv, lu])
 
 
 def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
@@ -212,7 +240,7 @@ def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
         gr._component_label(g, u, v)
         return 0.0
     m, lu, lv = _inverse_pair(g, u, v)
-    w = m[:, lu] - m[:, lv]
+    w = np.concatenate((m[lu, :lu], m[lu:, lu])) - np.concatenate((m[lv, :lv], m[lv:, lv]))
     return float(w @ w)
 
 
@@ -237,7 +265,14 @@ def spectral_gap(g: gr.Graph) -> float:
     if g.n == 1:  # L = [0] has no sigma_2
         raise ValueError("spectral gap requires at least two vertices")
     (_, m), = _inverses(g)
-    ritz = _lanczos(lambda x: m @ x - x.mean(), g.n, both=False)
+
+    def matvec(x):  # M x - mean(x): a panel of rows also adds its left part, transposed, above
+        y = np.empty(g.n)
+        for r0, r1 in _panels(g.n):
+            y[r0:r1] = m[r0:r1, :r1] @ x[:r1]
+            y[:r0] += x[r0:r1] @ m[r0:r1, :r0]
+        return y - x.mean()
+    ritz = _lanczos(matvec, g.n, both=False)
     if ritz is None:
         return float(np.linalg.eigvalsh(gr.laplacian(g))[1])
     return 1.0 / ritz[1]
@@ -271,13 +306,14 @@ def _mu(g: gr.Graph) -> float:
         theta = max(-lo, hi)
     weights = _rump_weights(n)
     step = res + weights.sum() * theta + weights[-1]  # ~ the margin at t = theta
-    f = np.empty((n, n))
+    f = _triangle_array(n)
     while theta + step < 1.0:
         t = theta + step
         bound = 0.0
         for sign in (1.0, -1.0):
             # f = t I - sign B, upper triangle; each entry has <= 6 roundings
-            np.multiply.outer(sign * v, v, out=f)
+            for r0, r1 in _panels(n):
+                np.multiply.outer(sign * v[r0:r1], v[r0:], out=f[r0:r1, r0:])
             f[ahat.rows, ahat.cols] -= sign * ahat.weights
             f.flat[::n + 1] += t
             margin = _cholesky_margin(f)
@@ -378,6 +414,6 @@ def rmax(g: gr.Graph) -> float:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
     (_, m), = _inverses(g)
     d, rows = np.diag(m), BLOCK_ROWS // 4
-    return float(max(np.max(d[lo:lo + rows, None] + d - 2.0 * m[lo:lo + rows])
-                     for lo in range(0, len(d), rows)))
+    return float(max(np.max(d[lo:hi, None] + d[:hi] - 2.0 * m[lo:hi, :hi])
+                     for lo, hi in _panels(len(d), rows)))
 

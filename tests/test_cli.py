@@ -684,6 +684,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("PASS p5-counterexample")
 
+    def test_package_runs_as_module(self):
+        """`python -m reswire` starts the same command line as `reswire`."""
+        run = subprocess.run([sys.executable, "-m", "reswire", "verify", "--suite",
+                              "p5-counterexample"], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert run.returncode == 0
+        assert run.stdout.startswith("PASS p5-counterexample")
+
     def test_unknown_suite(self):
         assert main(["verify", "--suite", "nope"]) == 2
 

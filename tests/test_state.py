@@ -5,7 +5,6 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +34,9 @@ from reswire.verify import (
     random_non_edge,
 )
 
-from conftest import random_graphs
+from conftest import SRC, growth_in_child, random_graphs
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+SETUP = "spectral.component_inverses(g)"  # the set-up alone, for `growth_in_child`
 
 
 class TestInit:
@@ -551,29 +550,6 @@ class TestCandidateView:
         assert len(view) == len(pairs)
 
 
-def _setup_growth_in_child(n: int) -> int:
-    """Bytes of peak resident-set growth of `component_inverses` on a random
-    connected graph of n vertices, read in a child process. The child reads
-    VmHWM, its own peak since exec; ru_maxrss would start at the peak of the
-    test process it was forked from. A first, small set-up warms up BLAS and
-    LAPACK, whose own buffers are not the set-up's."""
-    code = textwrap.dedent(f"""
-        import random
-        from reswire import spectral, verify
-        def peak_kb():
-            with open("/proc/self/status") as f:
-                return int(next(x for x in f if x.startswith("VmHWM:")).split()[1])
-        spectral.component_inverses(verify.random_connected_graph(random.Random(1), 200, 0.05))
-        g = verify.random_connected_graph(random.Random(0), {n}, 0.005)
-        before = peak_kb()
-        spectral.component_inverses(g)
-        print(peak_kb() - before)
-    """)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": SRC})
-    return int(out.stdout) * 1024
-
-
 class TestMemory:
     """tracemalloc peaks as the benchmark's memory probe takes them: the
     state's own M and N take at most 2 n^2 doubles (n^2 + n once they share
@@ -611,12 +587,12 @@ class TestMemory:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_rss_in_child(self):
         """Peak resident-set growth of the set-up at n=1200, read in a child
-        process (`_setup_growth_in_child`): LAPACK's work arrays are
+        process (`conftest.growth_in_child`): LAPACK's work arrays are
         invisible to tracemalloc. The set-up holds the Laplacian's array,
         where M is formed, and one CHOLESKY_ROWS * n workspace; an LU
         inverse (np.linalg.inv) needs 4 n^2."""
         n = 1200
-        assert _setup_growth_in_child(n) <= 3 * 8 * n ** 2
+        assert growth_in_child(n, SETUP) <= 3 * 8 * n ** 2
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_in_laplacian_storage_rss(self):
@@ -625,7 +601,7 @@ class TestMemory:
         array beside one CHOLESKY_ROWS * n workspace, so the growth stays
         below 2 n^2 doubles, where a second n x n array for M would exceed it."""
         n = 1200
-        assert _setup_growth_in_child(n) <= 2 * 8 * n ** 2
+        assert growth_in_child(n, SETUP) <= 2 * 8 * n ** 2
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_setup_rss_in_child_n2400(self):
@@ -635,7 +611,7 @@ class TestMemory:
         read 1.10 n^2 with OpenBLAS at 2 threads (1.07 at 1), where a
         ceil(n/2)^2 workspace read 1.43 n^2."""
         n = 2400
-        assert _setup_growth_in_child(n) <= 1.15 * 8 * n ** 2
+        assert growth_in_child(n, SETUP) <= 1.15 * 8 * n ** 2
 
     def test_setup_peak_beside_laplacian(self):
         """tracemalloc peak of the set-up alone at n=1600, beside the
