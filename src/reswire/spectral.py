@@ -22,10 +22,11 @@ flows, the power series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
-normalized adjacency as an edge list, certified by two Cholesky
-factorizations with a floating-point margin (Rump, BIT 46, 2006). mu is
+normalized adjacency as an edge list, certified by one Cholesky factorization
+of t^2 I - B^2 with a floating-point margin (Rump, BIT 46, 2006). mu is
 then never below its true value. A dense eigensolve runs only in the
-fallback of `spectral_gap` and `mu_bound`, when Lanczos gives up.
+fallback of `spectral_gap` and `mu_bound`, when Lanczos gives up. `stats` and
+`bounds` keep M and mu's matrix as one triangle each (`_triangle_array`).
 
 The per-component M list and mu are computed once per graph: each sits in
 an lru_cache(maxsize=1) keyed on the (immutable, hashable) Graph, so it
@@ -115,16 +116,17 @@ def _inf_norm(m: np.ndarray) -> float:
     return float(sums.max())
 
 
-def _triangle_array(n: int) -> np.ndarray:
-    """n x n zeros for one triangle and the diagonal panels to be written: past
-    CHOLESKY_ROWS rows an anonymous mapping advised MADV_NOHUGEPAGE, whose 4 KB pages
-    become resident only when written (numpy's 2 MB pages straddle the diagonal)."""
+def _triangle_array(n: int, upper: bool) -> np.ndarray:
+    """n x n zeros for one triangle and the diagonal panels: past CHOLESKY_ROWS rows in an
+    anonymous mapping advised MADV_NOHUGEPAGE (numpy's 2 MB pages straddle the diagonal),
+    rows whole pages apart, each one's start (lower) or end (`upper`) on a page boundary."""
     if n <= CHOLESKY_ROWS:  # one diagonal panel
         return np.zeros((n, n))
     import mmap  # here: at import it raises every CLI call's peak
-    buf = mmap.mmap(-1, 8 * n * n)
+    stride = -(-8 * n // mmap.PAGESIZE) * mmap.PAGESIZE // 8
+    buf = mmap.mmap(-1, 8 * stride * n)
     buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf).reshape(n, n)
+    return np.frombuffer(buf).reshape(n, stride)[:, stride - n if upper else 0:][:, :n]
 
 
 def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -132,9 +134,9 @@ def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return work[:rows * cols].reshape(rows, cols)
 
 
-def _panels(rows: int, height: int = CHOLESKY_ROWS) -> list[tuple[int, int]]:
-    """(first row, end row) of each `height`-row panel of `rows` rows."""
-    return [(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)]
+def _panels(rows: int, height: int = CHOLESKY_ROWS, start: int = 0) -> list[tuple[int, int]]:
+    """(first row, end row) of each `height`-row panel of rows start..rows-1."""
+    return [(r0, min(r0 + height, rows)) for r0 in range(start, rows, height)]
 
 
 def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
@@ -203,7 +205,7 @@ def component_inverses(g: gr.Graph):
 
 def _lower_laplacian(g: gr.Graph) -> np.ndarray:
     """L's lower triangle and diagonal in a `_triangle_array`."""
-    e, lap = g._edge_array, _triangle_array(g.n)
+    e, lap = g._edge_array, _triangle_array(g.n, upper=False)
     lap[e[:, 1], e[:, 0]] = -1.0  # rows u < v
     np.fill_diagonal(lap, gr.degrees(g))
     return lap
@@ -286,11 +288,14 @@ def mu_bound(g: gr.Graph) -> float:
 
 @lru_cache(maxsize=1)
 def _mu(g: gr.Graph) -> float:
-    """Lanczos estimate of mu = max|lambda(B)|, B = Ahat - v v^T with
-    v = D^(1/2) 1 / ||D^(1/2) 1|| (Ahat v = v, so B has Ahat's spectrum with
-    one eigenvalue 1 replaced by 0; a dense eigvalsh when Lanczos gives
-    up), raised until a Cholesky of t I - B and of t I + B succeeds. Each success proves |lambda(B)| <= t + margin
-    (`_cholesky_margin`), so the value returned is never below mu."""
+    """Lanczos estimate theta of mu = max|lambda(B)|, B = Ahat - v v^T, v = D^(1/2) 1 /
+    ||D^(1/2) 1|| (Ahat v = v: B has Ahat's spectrum with one 1 replaced by 0, and B^2 =
+    Ahat^2 - v v^T; a dense eigvalsh when Lanczos gives up), raised until one Cholesky of
+    F = T I - B^2, T = t^2, succeeds. Then mu^2 <= T + c + e, c from `_cholesky_margin`,
+    e = gamma_{d_max+12} (T + 2) >= ||fl(F) - F||_2 (`_fill_certificate`): an entry of F
+    sums at most d_max + 2 terms (T, v_i v_j, w_ik w_kj over common neighbours k), each
+    of <= 11 roundings (w = 1/sqrt(d_i) 1/sqrt(d_k) has 5, v_i 2), so |fl(F) - F| <=
+    gamma_{d_max+12} (T I + v v^T + Ahat^2) entrywise, of norm T + 2: mu is never under-read."""
     keep, ahat = gr.normalized_adjacency_edges(g)
     n = len(keep)
     if n == 0:
@@ -304,27 +309,39 @@ def _mu(g: gr.Graph) -> float:
     else:
         lo, hi, res = ritz
         theta = max(-lo, hi)
-    weights = _rump_weights(n)
-    step = res + weights.sum() * theta + weights[-1]  # ~ the margin at t = theta
-    f = _triangle_array(n)
-    while theta + step < 1.0:
-        t = theta + step
-        bound = 0.0
-        for sign in (1.0, -1.0):
-            # f = t I - sign B, upper triangle; each entry has <= 6 roundings
-            for r0, r1 in _panels(n):
-                np.multiply.outer(sign * v[r0:r1], v[r0:], out=f[r0:r1, r0:])
-            f[ahat.rows, ahat.cols] -= sign * ahat.weights
-            f.flat[::n + 1] += t
-            margin = _cholesky_margin(f)
-            if margin is None:
-                break
-            # ||f - (t I - sign B)||_2 <= gamma_6 ||t I + |Ahat| + v v^T||_2 <= 8u (t + 2)
-            bound = max(bound, t + margin + 8 * UNIT_ROUNDOFF * (t + 2.0))
-        else:
+    err = (d.max() + 13) * UNIT_ROUNDOFF  # >= gamma_{d_max+12}
+    # (theta + res)^2 - theta^2, ~ the margin (~ n^2 u / 2 of the diagonal) and err
+    step = (2.0 * theta + res) * res + (n * n / 2 * UNIT_ROUNDOFF + err) * theta ** 2 + 3 * err
+    f = _triangle_array(n, upper=True)
+    while theta ** 2 + step < 1.0:
+        tt = theta ** 2 + step
+        _fill_certificate(f, ahat, v, tt)
+        margin = _cholesky_margin(f)
+        if margin is not None:
+            bound = np.sqrt(tt + margin + err * (tt + 2.0))
             return min(1.0, float(bound) * (1.0 + 8 * UNIT_ROUNDOFF))
         step *= MU_STEP_GROWTH
     return 1.0
+
+
+def _fill_certificate(f: np.ndarray, ahat: gr.EdgeMatrix, v: np.ndarray, tt: float) -> None:
+    """f = tt I - Ahat^2 + v v^T in f's upper triangle and diagonal panels, Ahat^2 from
+    the neighbour pairs (i, j >= i) of each k, over runs of <= BLOCK_ROWS / 4 * n pairs."""
+    n = len(v)
+    for r0, r1 in _panels(n):
+        np.multiply.outer(v[r0:r1], v[r0:], out=f[r0:r1, r0:])
+    src, dst = np.concatenate([ahat.rows, ahat.cols]), np.concatenate([ahat.cols, ahat.rows])
+    order = np.argsort(src, kind="stable")
+    src, dst, w = src[order], dst[order], np.tile(ahat.weights, 2)[order]
+    d = np.bincount(src, minlength=n)
+    first = np.cumsum(d) - d  # k's neighbours are dst[first[k]:first[k] + d[k]]
+    for e0, e1 in _panels(len(src), max(1, BLOCK_ROWS // 4 * n // int(d.max()))):
+        cnt = d[dst[e0:e1]]
+        pos = np.arange(cnt.sum()) + np.repeat(first[dst[e0:e1]] - np.cumsum(cnt) + cnt, cnt)
+        rows, cols = np.repeat(src[e0:e1], cnt), dst[pos]
+        up = cols >= rows
+        np.subtract.at(f, (rows[up], cols[up]), (np.repeat(w[e0:e1], cnt) * w[pos])[up])
+    f.flat[::n + 1] += tt
 
 
 def _lanczos(matvec, n: int, both: bool) -> tuple[float, float, float] | None:
@@ -342,7 +359,7 @@ def _lanczos(matvec, n: int, both: bool) -> tuple[float, float, float] | None:
     callers' dense eigensolve is then cheaper.
     """
     steps = min(n, LANCZOS_MAX_STEPS)
-    basis = np.empty((steps, n))  # pages become resident only when written
+    basis = np.empty((steps, n))  # rows not written stay out of RSS only if freshly mapped
     rng = random.Random(0)  # numpy.random costs ~8 MB of resident memory to import
     x = np.array([rng.random() - 0.5 for _ in range(n)])
     basis[0] = x / np.linalg.norm(x)
@@ -368,17 +385,13 @@ def _lanczos(matvec, n: int, both: bool) -> tuple[float, float, float] | None:
     return None
 
 
-def _rump_weights(n: int) -> np.ndarray:
-    """gamma_{i+1} / (1 - gamma_{i+1}) for i = 1..n, gamma_k = k u / (1 - k u)."""
-    ku = np.arange(2, n + 2) * UNIT_ROUNDOFF
-    gamma = ku / (1.0 - ku)
-    return gamma / (1.0 - gamma)
-
-
 def _cholesky_margin(a: np.ndarray) -> float | None:
-    """Factor the symmetric `a` (read from its upper triangle) as R^T R in
-    place, in blocks of CHOLESKY_ROWS rows; None when a pivot is not
-    positive. On success return c with lambda_min(a) >= -c.
+    """Factor the symmetric `a` (read from its upper triangle) as R^T R in place;
+    None when a pivot is not positive, else c with lambda_min(a) >= -c. Each block of
+    CHOLESKY_ROWS rows takes R's rows above it 2 * CHOLESKY_ROWS at a time (deeper
+    products touch more of OpenBLAS's buffers); a row loop factors each leaf of
+    TRIANGLE_LEAF rows, and one product updates the block's rows below it. Every
+    product goes through one CHOLESKY_ROWS * n workspace.
 
     The computed R satisfies R^T R = a + E with |E_ij| <= gamma_{min(i,j)+1}
     |r_i|^T |r_j| in any summation order (Higham, Accuracy and Stability of
@@ -389,21 +402,26 @@ def _cholesky_margin(a: np.ndarray) -> float | None:
     underflow. Every r_ij is a true division by r_ii, as the bound assumes.
     """
     n = len(a)
-    c = float(_rump_weights(n) @ a.diagonal()) * (1.0 + 1e-6)
-    for k0 in range(0, n, CHOLESKY_ROWS):
-        k1 = min(k0 + CHOLESKY_ROWS, n)
-        for i in range(k0, k1):
-            row = a[i, i:]
-            row -= a[k0:i, i] @ a[k0:i, i:]
-            if not row[0] > 0.0:
-                return None
-            r = np.sqrt(row[0])
-            row[1:] /= r
-            row[0] = r
-        panel = a[k0:k1, k1:]
-        for j0 in range(k1, n, CHOLESKY_ROWS):
-            j1 = min(j0 + CHOLESKY_ROWS, n)
-            a[j0:j1, j0:] -= panel[:, j0 - k1:j1 - k1].T @ panel[:, j0 - k1:]
+    ku = np.arange(2, n + 2) * UNIT_ROUNDOFF
+    gamma = ku / (1.0 - ku)  # gamma_{i+1}, i = 1..n
+    c = float(gamma / (1.0 - gamma) @ a.diagonal()) * (1.0 + 1e-6)
+    work = np.empty(min(CHOLESKY_ROWS, n) * n)
+
+    def update(p0, p1, s0, s1):  # rows s0:s1 from column s0 on, less R[p0:p1]'s part
+        a[s0:s1, s0:] -= np.matmul(a[p0:p1, s0:s1].T, a[p0:p1, s0:],
+                                   out=_work(work, s1 - s0, n - s0))
+    for k0, k1 in _panels(n):
+        for p0, p1 in _panels(k0, 2 * CHOLESKY_ROWS):
+            update(p0, p1, k0, k1)
+        for l0, l1 in _panels(k1, TRIANGLE_LEAF, k0):
+            for i in range(l0, l1):
+                row = a[i, i:]
+                row -= a[l0:i, i] @ a[l0:i, i:]
+                if not row[0] > 0.0:
+                    return None
+                np.sqrt(row[:1], out=row[:1])
+                row[1:] /= row[0]
+            update(l0, l1, l1, k1)
     return c
 
 

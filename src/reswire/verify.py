@@ -423,6 +423,23 @@ def suite_bound_ordering(seed: int = 0, trials: int = 100, n_max: int = 20,
     return SuiteResult("bound-ordering", ok, worst, tolerance)
 
 
+def suite_mu_certificate(seed: int = 0, trials: int = 30, n_max: int = 150,
+                         tolerance: float = 1e-9) -> SuiteResult:
+    # mu <= mu_bound <= mu (1 + tolerance) for eigvalsh's mu, no certificate at
+    # t = mu (1 - 1e-6), and exactly 1.0 for a tree and for two components with edges
+    rng, worst, ok = random.Random(seed), 0.0, True
+    for _ in range(trials):
+        g = random_nonbipartite_connected_graph(rng, rng.randint(3, n_max))
+        mu = np.abs(np.linalg.eigvalsh(gr.normalized_adjacency(g))[[0, -2]]).max()
+        f, d, low = np.zeros((g.n, g.n)), gr.degrees(g), (mu * (1.0 - 1e-6)) ** 2
+        sp._fill_certificate(f, gr.normalized_adjacency_edges(g)[1], np.sqrt(d / d.sum()), low)
+        two = gr.build_graph(2 * g.n, [(u + s, v + s) for u, v in g.edges for s in (0, g.n)])
+        worst = max(worst, sp.mu_bound(g) / mu - 1.0)
+        ok = (ok and mu <= sp.mu_bound(g) and sp._cholesky_margin(f) is None
+              and sp.mu_bound(random_tree(rng, g.n)) == sp.mu_bound(two) == 1.0)
+    return SuiteResult("mu-certificate", ok and worst <= tolerance, worst, tolerance)
+
+
 SUITES = {
     "p5-counterexample": suite_p5_counterexample,
     "theorem-delta": suite_delta_exactness,
@@ -433,6 +450,7 @@ SUITES = {
     "rayleigh-monotonicity": suite_monotonicity,
     "p20-nonmonotonicity": suite_p20_nonmonotonicity,
     "bound-ordering": suite_bound_ordering,
+    "mu-certificate": suite_mu_certificate,
 }
 
 

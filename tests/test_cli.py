@@ -791,6 +791,30 @@ class TestVerify:
         assert main(["verify", "--suite", suite]) == 1
         assert capsys.readouterr().out.startswith(f"FAIL {suite}")
 
+    def test_mu_certificate_fails_without_pairs_through_a_vertex(self, monkeypatch, capsys):
+        """A fill of t^2 I - B^2 that leaves out Ahat^2's pairs (i, j) through
+        vertex 0, the terms w_i0 w_0j, adds a rank-one w w^T to it and so
+        certifies a t below mu: mu could then be under-read, and
+        `mu-certificate` prints FAIL and exits 1."""
+        fill = sp._fill_certificate
+
+        def planted(f, ahat, v, tt):
+            fill(f, ahat, v, tt)
+            at = (ahat.rows == 0) | (ahat.cols == 0)
+            nbrs, w = ahat.rows[at] + ahat.cols[at], ahat.weights[at]  # one end is 0
+            for a, wa in zip(nbrs, w):
+                for b, wb in zip(nbrs, w):
+                    if a <= b:
+                        f[a, b] += wa * wb
+
+        monkeypatch.setattr(sp, "_fill_certificate", planted)
+        sp._mu.cache_clear()
+        try:
+            assert main(["verify", "--suite", "mu-certificate"]) == 1
+        finally:
+            sp._mu.cache_clear()  # no mu from the faulty fill is left for later tests
+        assert capsys.readouterr().out.startswith("FAIL mu-certificate")
+
     def test_woodbury_fails_on_n_fault(self, monkeypatch, capsys):
         """N_00 off by a relative 1e-6 after each insertion made with N
         present fails `woodbury`: its insertions update M and N at once,

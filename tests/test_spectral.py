@@ -654,6 +654,29 @@ class TestExtremeEigenvalues:
         assert mu <= mu_bound(g) <= 1.0
         assert margins[0] is None and margins[-1] is not None
 
+    @pytest.mark.parametrize("kind", ["odd cycle", "path and chord", "lollipop"])
+    def test_long_graphs_certified(self, monkeypatch, fresh_memo, kind):
+        """Graphs whose extremes need O(n) Lanczos steps: on C_801 and P_600
+        with one chord Lanczos stops at LANCZOS_MAX_STEPS and eigvalsh supplies
+        theta; on K_20 joined to a 200-vertex path it runs the full Krylov space.
+        The one certificate of t^2 I - B^2 still keeps mu within 1e-9 above."""
+        clique = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+        g = {"odd cycle": lambda: cycle_graph(801),
+             "path and chord": lambda: build_graph(600, path_graph(600).edges + ((0, 300),)),
+             "lollipop": lambda: build_graph(220, clique + [(i, i + 1) for i in range(19, 219)]),
+             }[kind]()
+        lanczos, ritz = sp._lanczos, []
+
+        def recorded(*args, **kwargs):
+            ritz.append(lanczos(*args, **kwargs))
+            return ritz[-1]
+
+        monkeypatch.setattr(sp, "_lanczos", recorded)
+        mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
+        mu = max(abs(mu_all[0]), abs(mu_all[-2]))
+        assert mu <= mu_bound(g) <= mu * (1 + 1e-9)
+        assert (ritz == [None]) == (kind != "lollipop")
+
     def test_two_components_reject_resistance_bound(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -749,16 +772,17 @@ def test_connected_graph_is_its_own_component():
     assert sub.n == 1 and verts.tolist() == [0] and m.tolist() == [[1.0]]
 
 
-def _nan_side(monkeypatch, upper):
+def _nan_side(monkeypatch, nan_upper):
     """Patch `_triangle_array` so that each mapped array (past CHOLESKY_ROWS
-    rows) holds NaN strictly above the diagonal (`upper`) or below it; the
-    arrays are kept alive and returned."""
+    rows) holds NaN strictly above the diagonal (`nan_upper`) or below it;
+    the side to be written is passed on, and the arrays are kept alive and
+    returned."""
     made, alloc = [], sp._triangle_array
 
-    def planted(n):
-        a = alloc(n)
+    def planted(n, upper):
+        a = alloc(n, upper)
         if n > sp.CHOLESKY_ROWS:
-            a[np.triu_indices(n, 1) if upper else np.tril_indices(n, -1)] = np.nan
+            a[np.triu_indices(n, 1) if nan_upper else np.tril_indices(n, -1)] = np.nan
             made.append(a)
         return a
 
@@ -792,10 +816,10 @@ class TestTriangleStorage:
         plain, plain_gap, pairs = _batch_results(g)
         sp._inverses.cache_clear()
         sp._mu.cache_clear()
-        upper = _nan_side(monkeypatch, upper=True)
+        upper = _nan_side(monkeypatch, nan_upper=True)
         total_resistance(g)  # M first: mu's array gets its NaN below the diagonal
         monkeypatch.undo()
-        lower = _nan_side(monkeypatch, upper=False)
+        lower = _nan_side(monkeypatch, nan_upper=False)
         got, got_gap, _ = _batch_results(g)
         assert got == plain and got_gap == plain_gap
         # the same bits as whole rows and columns of the mirrored, full M give
@@ -829,13 +853,29 @@ class TestTriangleStorage:
         assert len(maps) == 1
 
 
+@pytest.mark.parametrize("n", [129, 512, 600, 1000])
+@pytest.mark.parametrize("upper", [False, True])
+def test_triangle_rows_start_or_end_on_a_page(n, upper):
+    """Each row's written side lies on a 4 KB boundary: its start in a lower
+    triangle, its end in an upper one. Row i of a triangle then takes the
+    pages of its i + 1 (or n - i) entries, about half a page more on average,
+    where rows packed n apart start mid-page and take one more page each."""
+    a = sp._triangle_array(n, upper)
+    assert a.shape == (n, n) and a.strides[1] == 8 and not a.any()
+    starts = a.__array_interface__["data"][0] + a.strides[0] * np.arange(n)
+    assert ((starts + 8 * n * upper) % 4096 == 0).all()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 @pytest.mark.parametrize("calls", [
     "spectral.total_resistance(g); spectral.spectral_gap(g); spectral.rmax(g)",
     "spectral.mu_bound(g)",
+    "spectral.mu_bound(g); spectral.total_resistance(g); spectral.spectral_gap(g)",
 ])
 def test_batch_growth_n2400(calls):
-    """With one triangle resident, `stats`' quantities and mu each grow the
-    peak by at most 0.85 n^2 doubles at n=2400: measured 0.77 and 0.76,
-    where both triangles of M or of mu's matrix resident read 1.11 and 1.07."""
-    assert growth_in_child(2400, calls) <= 0.85 * 8 * 2400 ** 2
+    """With one triangle resident on page-aligned rows, `stats`' quantities,
+    mu, and `bounds`' own order (mu, then M) each grow the peak by at most
+    0.73 n^2 doubles at n=2400: measured 0.69-0.70, 0.70 and 0.69, where
+    rows packed n apart read 0.80, 0.76 and 0.78, and both triangles of M
+    or of mu's matrix resident 1.11 and 1.07."""
+    assert growth_in_child(2400, calls) <= 0.73 * 8 * 2400 ** 2
