@@ -22,9 +22,10 @@ flows, the power series) live in `verify`.
 
 sigma_2 and mu are extreme eigenvalues, read by Lanczos (Golub & Van Loan,
 Matrix Computations, ch. 10): sigma_2 from the cached M, and mu from the
-normalized adjacency as an edge list, certified by one Cholesky factorization
-of t^2 I - B^2 with a floating-point margin (Rump, BIT 46, 2006). mu is
-then never below its true value. A dense eigensolve runs only in the
+normalized adjacency as an edge list, certified by Cholesky factorizations
+with a floating-point margin (Rump, BIT 46, 2006): one of t^2 I - B^2 on
+sparse graphs, one each of t I - B and t I + B on dense ones. mu is then
+never below its true value. A dense eigensolve runs only in the
 fallback of `spectral_gap` and `mu_bound`, when Lanczos gives up. `stats` and
 `bounds` keep M and mu's matrix as one triangle each (`_triangle_array`).
 
@@ -134,9 +135,9 @@ def _work(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return work[:rows * cols].reshape(rows, cols)
 
 
-def _panels(rows: int, height: int = CHOLESKY_ROWS, start: int = 0) -> list[tuple[int, int]]:
-    """(first row, end row) of each `height`-row panel of rows start..rows-1."""
-    return [(r0, min(r0 + height, rows)) for r0 in range(start, rows, height)]
+def _panels(rows: int, height: int = CHOLESKY_ROWS) -> list[tuple[int, int]]:
+    """(first row, end row) of each `height`-row panel of `rows` rows."""
+    return [(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)]
 
 
 def _factor_inverse(a: np.ndarray, work: np.ndarray | None) -> None:
@@ -289,13 +290,8 @@ def mu_bound(g: gr.Graph) -> float:
 @lru_cache(maxsize=1)
 def _mu(g: gr.Graph) -> float:
     """Lanczos estimate theta of mu = max|lambda(B)|, B = Ahat - v v^T, v = D^(1/2) 1 /
-    ||D^(1/2) 1|| (Ahat v = v: B has Ahat's spectrum with one 1 replaced by 0, and B^2 =
-    Ahat^2 - v v^T; a dense eigvalsh when Lanczos gives up), raised until one Cholesky of
-    F = T I - B^2, T = t^2, succeeds. Then mu^2 <= T + c + e, c from `_cholesky_margin`,
-    e = gamma_{d_max+12} (T + 2) >= ||fl(F) - F||_2 (`_fill_certificate`): an entry of F
-    sums at most d_max + 2 terms (T, v_i v_j, w_ik w_kj over common neighbours k), each
-    of <= 11 roundings (w = 1/sqrt(d_i) 1/sqrt(d_k) has 5, v_i 2), so |fl(F) - F| <=
-    gamma_{d_max+12} (T I + v v^T + Ahat^2) entrywise, of norm T + 2: mu is never under-read."""
+    ||D^(1/2) 1|| (Ahat v = v: B has Ahat's spectrum with one 1 replaced by 0; a dense
+    eigvalsh when Lanczos gives up), certified from above by `_certified`."""
     keep, ahat = gr.normalized_adjacency_edges(g)
     n = len(keep)
     if n == 0:
@@ -305,43 +301,65 @@ def _mu(g: gr.Graph) -> float:
     ritz = _lanczos(lambda x: ahat @ x - v * (v @ x), n, both=True)
     if ritz is None:
         mu_all = np.linalg.eigvalsh(gr.normalized_adjacency(g))
-        theta, res = max(abs(mu_all[0]), abs(mu_all[-2])), 0.0
-    else:
-        lo, hi, res = ritz
-        theta = max(-lo, hi)
-    err = (d.max() + 13) * UNIT_ROUNDOFF  # >= gamma_{d_max+12}
-    # (theta + res)^2 - theta^2, ~ the margin (~ n^2 u / 2 of the diagonal) and err
-    step = (2.0 * theta + res) * res + (n * n / 2 * UNIT_ROUNDOFF + err) * theta ** 2 + 3 * err
+        return _certified(ahat, d, max(abs(mu_all[0]), abs(mu_all[-2])), 0.0)
+    lo, hi, res = ritz
+    return _certified(ahat, d, max(-lo, hi), res)
+
+
+def _certified(ahat: gr.EdgeMatrix, d: np.ndarray, theta: float, res: float) -> float:
+    """min(1, a bound never below mu) from an estimate theta of mu with Ritz residual res,
+    for `ahat` with degrees `d`: t is raised from theta until Cholesky proves |lambda(B)|^p
+    <= T = t^p, with p = 2 (one factorization of F = T I - Ahat^2 + v v^T) when sum_k d_k^2,
+    the count of Ahat^2's neighbour pairs, is at most n^2 / 2, else p = 1 (T I - B and
+    T I + B, whose O(n^2) fill is then the cheaper). Each success proves mu^p <= T + c + e,
+    c from `_cholesky_margin`, e >= ||fl(F) - F||_2: for p = 2 an entry of F sums <= d_max + 2
+    terms (T, v_i v_j, w_ik w_kj over common neighbours k) of <= 11 roundings each (w has 5,
+    v_i 2), so e = gamma_{d_max+12} ||T I + v v^T + Ahat^2||_2 = gamma_{d_max+12} (T + 2);
+    for p = 1 an entry has <= 6, so e = 8u (T + 2) >= gamma_6 ||T I + |Ahat| + v v^T||_2."""
+    n, v = len(d), np.sqrt(d / d.sum())
+    square = d @ d <= n * n / 2
+    p, err = (2, (d.max() + 13) * UNIT_ROUNDOFF) if square else (1, 8 * UNIT_ROUNDOFF)
+    # (theta + res)^p - theta^p, ~ the margin (~ n^2 u / 2 of the diagonal) and err
+    step = ((theta + res) ** p - theta ** p
+            + (n * n / 2 * UNIT_ROUNDOFF + err) * theta ** p + 3 * err)
     f = _triangle_array(n, upper=True)
-    while theta ** 2 + step < 1.0:
-        tt = theta ** 2 + step
-        _fill_certificate(f, ahat, v, tt)
-        margin = _cholesky_margin(f)
-        if margin is not None:
-            bound = np.sqrt(tt + margin + err * (tt + 2.0))
-            return min(1.0, float(bound) * (1.0 + 8 * UNIT_ROUNDOFF))
+    while theta ** p + step < 1.0:
+        tp, bound = theta ** p + step, 0.0
+        for sign in (1.0,) if square else (1.0, -1.0):
+            _fill_certificate(f, ahat, v, tp, sign, square)
+            margin = _cholesky_margin(f)
+            if margin is None:
+                break
+            bound = max(bound, tp + margin + err * (tp + 2.0))
+        else:
+            return min(1.0, float(np.sqrt(bound) if square else bound) * (1.0 + 8 * UNIT_ROUNDOFF))
         step *= MU_STEP_GROWTH
     return 1.0
 
 
-def _fill_certificate(f: np.ndarray, ahat: gr.EdgeMatrix, v: np.ndarray, tt: float) -> None:
-    """f = tt I - Ahat^2 + v v^T in f's upper triangle and diagonal panels, Ahat^2 from
-    the neighbour pairs (i, j >= i) of each k, over runs of <= BLOCK_ROWS / 4 * n pairs."""
+def _fill_certificate(f: np.ndarray, ahat: gr.EdgeMatrix, v: np.ndarray, tp: float,
+                      sign: float, square: bool) -> None:
+    """f = tp I - sign (Ahat^p - v v^T), p = 2 if `square` else 1, in f's upper triangle and
+    diagonal panels: Ahat^2 from the neighbour pairs (i, j >= i) of each k, over runs of
+    <= BLOCK_ROWS / 4 * n pairs."""
     n = len(v)
     for r0, r1 in _panels(n):
-        np.multiply.outer(v[r0:r1], v[r0:], out=f[r0:r1, r0:])
-    src, dst = np.concatenate([ahat.rows, ahat.cols]), np.concatenate([ahat.cols, ahat.rows])
-    order = np.argsort(src, kind="stable")
-    src, dst, w = src[order], dst[order], np.tile(ahat.weights, 2)[order]
-    d = np.bincount(src, minlength=n)
-    first = np.cumsum(d) - d  # k's neighbours are dst[first[k]:first[k] + d[k]]
-    for e0, e1 in _panels(len(src), max(1, BLOCK_ROWS // 4 * n // int(d.max()))):
-        cnt = d[dst[e0:e1]]
-        pos = np.arange(cnt.sum()) + np.repeat(first[dst[e0:e1]] - np.cumsum(cnt) + cnt, cnt)
-        rows, cols = np.repeat(src[e0:e1], cnt), dst[pos]
-        up = cols >= rows
-        np.subtract.at(f, (rows[up], cols[up]), (np.repeat(w[e0:e1], cnt) * w[pos])[up])
-    f.flat[::n + 1] += tt
+        np.multiply.outer(sign * v[r0:r1], v[r0:], out=f[r0:r1, r0:])
+    if not square:
+        f[ahat.rows, ahat.cols] -= sign * ahat.weights
+    else:
+        src, dst = np.concatenate([ahat.rows, ahat.cols]), np.concatenate([ahat.cols, ahat.rows])
+        order = np.argsort(src, kind="stable")
+        src, dst, w = src[order], dst[order], np.tile(ahat.weights, 2)[order]
+        d = np.bincount(src, minlength=n)
+        first = np.cumsum(d) - d  # k's neighbours are dst[first[k]:first[k] + d[k]]
+        for e0, e1 in _panels(len(src), max(1, BLOCK_ROWS // 4 * n // int(d.max()))):
+            cnt = d[dst[e0:e1]]
+            pos = np.arange(cnt.sum()) + np.repeat(first[dst[e0:e1]] - np.cumsum(cnt) + cnt, cnt)
+            rows, cols = np.repeat(src[e0:e1], cnt), dst[pos]
+            up = cols >= rows
+            np.subtract.at(f, (rows[up], cols[up]), sign * (np.repeat(w[e0:e1], cnt) * w[pos])[up])
+    f.flat[::n + 1] += tp
 
 
 def _lanczos(matvec, n: int, both: bool) -> tuple[float, float, float] | None:
@@ -413,7 +431,7 @@ def _cholesky_margin(a: np.ndarray) -> float | None:
     for k0, k1 in _panels(n):
         for p0, p1 in _panels(k0, 2 * CHOLESKY_ROWS):
             update(p0, p1, k0, k1)
-        for l0, l1 in _panels(k1, TRIANGLE_LEAF, k0):
+        for l0, l1 in _panels(k1, TRIANGLE_LEAF)[k0 // TRIANGLE_LEAF:]:  # the block's leaves
             for i in range(l0, l1):
                 row = a[i, i:]
                 row -= a[l0:i, i] @ a[l0:i, i:]

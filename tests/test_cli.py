@@ -792,14 +792,16 @@ class TestVerify:
         assert capsys.readouterr().out.startswith(f"FAIL {suite}")
 
     def test_mu_certificate_fails_without_pairs_through_a_vertex(self, monkeypatch, capsys):
-        """A fill of t^2 I - B^2 that leaves out Ahat^2's pairs (i, j) through
-        vertex 0, the terms w_i0 w_0j, adds a rank-one w w^T to it and so
-        certifies a t below mu: mu could then be under-read, and
-        `mu-certificate` prints FAIL and exits 1."""
+        """A fill of t^2 I - B^2 (the sparse graphs' route) that leaves out
+        Ahat^2's pairs (i, j) through vertex 0, the terms w_i0 w_0j, adds a
+        rank-one w w^T to it and so certifies a t below mu: mu could then be
+        under-read, and `mu-certificate` prints FAIL and exits 1."""
         fill = sp._fill_certificate
 
-        def planted(f, ahat, v, tt):
-            fill(f, ahat, v, tt)
+        def planted(f, ahat, v, tp, sign, square):
+            fill(f, ahat, v, tp, sign, square)
+            if not square:
+                return
             at = (ahat.rows == 0) | (ahat.cols == 0)
             nbrs, w = ahat.rows[at] + ahat.cols[at], ahat.weights[at]  # one end is 0
             for a, wa in zip(nbrs, w):

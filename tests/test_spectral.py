@@ -654,28 +654,38 @@ class TestExtremeEigenvalues:
         assert mu <= mu_bound(g) <= 1.0
         assert margins[0] is None and margins[-1] is not None
 
-    @pytest.mark.parametrize("kind", ["odd cycle", "path and chord", "lollipop"])
+    @pytest.mark.parametrize("kind", ["odd cycle", "path and chord", "lollipop", "clique"])
     def test_long_graphs_certified(self, monkeypatch, fresh_memo, kind):
         """Graphs whose extremes need O(n) Lanczos steps: on C_801 and P_600
         with one chord Lanczos stops at LANCZOS_MAX_STEPS and eigvalsh supplies
         theta; on K_20 joined to a 200-vertex path it runs the full Krylov space.
-        The one certificate of t^2 I - B^2 still keeps mu within 1e-9 above."""
+        The one certificate of t^2 I - B^2 still keeps mu within 1e-9 above.
+        K_300 (sum_k d_k^2 = 299 n^2, mu = 1/299) takes the two certificates of
+        t I -/+ B: filling Ahat^2 pair by pair there took 0.9 s and read mu
+        7.7e-9 above its value."""
         clique = [(i, j) for i in range(20) for j in range(i + 1, 20)]
         g = {"odd cycle": lambda: cycle_graph(801),
              "path and chord": lambda: build_graph(600, path_graph(600).edges + ((0, 300),)),
              "lollipop": lambda: build_graph(220, clique + [(i, i + 1) for i in range(19, 219)]),
+             "clique": lambda: complete_graph(300),
              }[kind]()
-        lanczos, ritz = sp._lanczos, []
+        lanczos, fill, ritz, squares = sp._lanczos, sp._fill_certificate, [], set()
 
         def recorded(*args, **kwargs):
             ritz.append(lanczos(*args, **kwargs))
             return ritz[-1]
 
+        def recorded_fill(*args):
+            squares.add(args[-1])
+            fill(*args)
+
         monkeypatch.setattr(sp, "_lanczos", recorded)
+        monkeypatch.setattr(sp, "_fill_certificate", recorded_fill)
         mu_all = np.linalg.eigvalsh(normalized_adjacency(g))
         mu = max(abs(mu_all[0]), abs(mu_all[-2]))
         assert mu <= mu_bound(g) <= mu * (1 + 1e-9)
-        assert (ritz == [None]) == (kind != "lollipop")
+        assert (ritz == [None]) == (kind not in ("lollipop", "clique"))
+        assert squares == {kind != "clique"}
 
     def test_two_components_reject_resistance_bound(self):
         rng = random.Random(4)
