@@ -35,7 +35,6 @@ from .rewiring import (
     same_component_non_edges,
 )
 from .spectral import (
-    biharmonic_distance_sq,
     effective_resistance,
     mu_bound,
     rmax,

@@ -37,9 +37,6 @@ class Graph:
     def num_components(self) -> int:
         return 1 + max(self.component_id) if self.n else 0
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def with_edges(self, extra) -> "Graph":
         """New graph with additional edges (deduplicated, revalidated)."""
         return build_graph(self.n, list(self.edges) + list(extra))

@@ -1,7 +1,7 @@
 """Greedy total-resistance rewiring and the seeded random baseline.
 
-Both score candidates through one `ResistanceState`; the exhaustive
-searches that check them live in `verify`.
+Both score candidates through one `ResistanceState`; the sorted non-edge
+list and the exhaustive searches that check them live in `verify`.
 """
 
 from __future__ import annotations
@@ -50,20 +50,11 @@ class RewirePlan:
         return [(e.u, e.v) for e in self.added]
 
 
-def same_component_non_edges(g: gr.Graph, *, state: ResistanceState | None = None):
-    """Sorted (u, v), u < v, in one component and not an edge of `g`, as a
-    list; given `g`'s `state`, as a `_MaskedCandidates` over the pairs the
-    state has not added, read from its lists of neighbours."""
-    if state is not None:
-        return _MaskedCandidates(state)
-    existing = g.edge_set()
-    out = []
-    for verts, sub in gr.components(g):
-        if sub.n > 1:
-            out += (p for p in itertools.combinations(verts.tolist(), 2)
-                    if p not in existing)
-    out.sort()
-    return out
+def same_component_non_edges(state: ResistanceState) -> "_MaskedCandidates":
+    """The pairs (u, v), u < v, in one component of the state's graph that
+    are neither its edges nor added by the state, in sorted order, as a
+    `_MaskedCandidates` view read from the state's lists of neighbours."""
+    return _MaskedCandidates(state)
 
 
 class _MaskedCandidates:
@@ -136,7 +127,7 @@ def random_baseline(g: gr.Graph, k: int, seed: int) -> RewirePlan:
     without replacement, scoring through the same state machinery."""
     def picks(state):
         rng = random.Random(seed)
-        candidates = same_component_non_edges(g, state=state)
+        candidates = same_component_non_edges(state)
         while candidates:
             u, v = candidates.pop(rng.randrange(len(candidates)))
             yield u, v, *state.pair_scores(u, v)

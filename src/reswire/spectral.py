@@ -4,9 +4,8 @@ Everything here is batch (from scratch). The closed forms follow the
 regularized-inverse identities: with M = (L + 11^T/n)^{-1} on a connected
 component,
 
-    R_{u,v}   = M_uu + M_vv - 2 M_uv
-    B^2_{u,v} = ||M (1_u - 1_v)||^2
-    R_tot     = n * tr(M) - n
+    R_{u,v} = M_uu + M_vv - 2 M_uv
+    R_tot   = n * tr(M) - n
 
 M itself is formed without an LU solve: L + 11^T/n is symmetric positive
 definite on a connected component, so `regularized_inverse_dense` factors it
@@ -223,28 +222,13 @@ def _inverses(g: gr.Graph):
     return pairs
 
 
-def _inverse_pair(g: gr.Graph, u: int, v: int):
-    """(cached M of u's component, lower local index, higher local index)."""
-    label = gr._component_label(g, u, v)  # before any inverse is computed
-    verts, m = _inverses(g)[label]
-    return (m, *sorted(np.searchsorted(verts, (u, v)).tolist()))
-
-
 def effective_resistance(g: gr.Graph, u: int, v: int) -> float:
+    label = gr._component_label(g, u, v)  # before any inverse is computed
     if u == v:
-        gr._component_label(g, u, v)
         return 0.0
-    m, lu, lv = _inverse_pair(g, u, v)
+    verts, m = _inverses(g)[label]
+    lu, lv = sorted(np.searchsorted(verts, (u, v)).tolist())
     return float(m[lu, lu] + m[lv, lv] - 2.0 * m[lv, lu])
-
-
-def biharmonic_distance_sq(g: gr.Graph, u: int, v: int) -> float:
-    if u == v:
-        gr._component_label(g, u, v)
-        return 0.0
-    m, lu, lv = _inverse_pair(g, u, v)
-    w = np.concatenate((m[lu, :lu], m[lu:, lu])) - np.concatenate((m[lv, :lv], m[lv:, lv]))
-    return float(w @ w)
 
 
 def total_resistance(g: gr.Graph) -> float:

@@ -71,7 +71,9 @@ pair's component (A = L + J/n), with ||A||_inf from the degrees by
 reads, and M as N is built: for GTR, the set-up's M. Each scan block keeps
 its maximum and its first pair within the band of that maximum; the global
 band can only be narrower, so that pair is the block's answer unless its
-delta falls outside, and only then is the block scored again.
+delta falls outside, and only then is the block scored again. A component
+keeps these answers until its next insertion, so a step scans only the
+component that took the last edge.
 
 Each component works on local indices: its vertex array, its own graph
 and its M come from one `spectral.component_inverses` call (one split of
@@ -115,7 +117,7 @@ def _tri(h: int, k: int = 0) -> np.ndarray:
 
 class _Component:
     __slots__ = ("verts", "size", "band", "_above", "_edges", "_norm_a", "_m", "_n2", "_v",
-                 "_p", "_bounds", "_chunks", "_rows", "_packed", "_block", "_mirror")
+                 "_p", "_bounds", "_chunks", "_rows", "_packed", "_block", "_mirror", "_top")
 
     def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray):
         n = sub.n
@@ -144,6 +146,7 @@ class _Component:
         self._edges = np.split((a - r0) * (n - r0) + b - r0,
                                k.searchsorted(np.arange(1, len(starts))))
         self._packed, self._block, self._mirror = False, None, None  # set when N is built
+        self._top = None  # `top()`'s list, kept until the next `insert`
 
     @property
     def m(self) -> np.ndarray:
@@ -287,7 +290,11 @@ class _Component:
         maximum lies within the band of every earlier chunk's (the caller
         filters them against the global maximum), where (a, b) is the
         chunk's first pair in row-major order within the band of the
-        chunk's maximum. Empty if the component is complete."""
+        chunk's maximum. Empty if the component is complete. Kept until the
+        next `insert`: nothing else changes the scores, and the band is
+        fixed once N is built."""
+        if self._top is not None:
+            return self._top
         if self._n2 is None:
             self._build_n()
         hm, hn, buf = self._scan_setup()
@@ -305,6 +312,7 @@ class _Component:
                                      out=flags[:i + 1]).argmax())
             r0 = chunk[0]
             out.append((top, r0 + f // width, r0 + f % width, float(flat[f]), chunk))
+        self._top = out
         return out
 
     def first_at_least(self, chunk, floor: float):
@@ -319,6 +327,7 @@ class _Component:
         """Add the local edge (a, b): in place to M and N once N exists,
         else as one more pending row. Returns (B^2, c)."""
         n, w = self.size, self._diff(a, b)
+        self._top = None
         bsq = float(w @ w)
         cc = 1.0 / (1.0 + float(w[a] - w[b]))
         bisect.insort(self._above[a], b)
@@ -378,9 +387,6 @@ class ResistanceState:
         self.comps = list(self._by_label.values())
         self.rtot = sum((c.rtot() for c in self.comps), 0.0)
         self.added_edges: list[tuple[int, int]] = []
-
-    def current_graph(self) -> gr.Graph:
-        return self.original.with_edges(self.added_edges)
 
     def _locate(self, u: int, v: int):
         if u == v:

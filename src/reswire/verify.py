@@ -3,8 +3,10 @@
 Each suite generates its own instances from a seed and reports the maximum
 observed deviation against an independent route (pseudoinverse, minimum-norm
 flow, power series, exhaustive search, from-scratch recompute). These are
-the same oracles the test suite freezes its expected values with; only
-`reswire verify` and the tests load this module.
+the same oracles the test suite freezes its expected values with, and the
+helpers they share: the sorted non-edge list of a graph (`non_edges`) and
+the graph a state has grown to (`current_graph`). Only `reswire verify` and
+the tests load this module.
 """
 
 from __future__ import annotations
@@ -80,8 +82,20 @@ def random_nonbipartite_connected_graph(rng: random.Random, n: int,
             return g
 
 
+def non_edges(g: gr.Graph) -> list[tuple[int, int]]:
+    """Sorted (u, v), u < v, in one component of `g` and not an edge of it."""
+    existing = set(g.edges)
+    return sorted(p for verts, sub in gr.components(g) if sub.n > 1
+                  for p in itertools.combinations(verts.tolist(), 2) if p not in existing)
+
+
+def current_graph(state: ResistanceState) -> gr.Graph:
+    """The state's graph with the edges it has added."""
+    return state.original.with_edges(state.added_edges)
+
+
 def random_non_edge(rng: random.Random, g: gr.Graph):
-    return pop_random(rng, rw.same_component_non_edges(g))
+    return pop_random(rng, non_edges(g))
 
 
 def pop_random(rng: random.Random, candidates: list):
@@ -193,7 +207,7 @@ def brute_force_optimal(g: gr.Graph, k: int, cap: int = BRUTE_FORCE_CAP):
     when iterating sorted combinations)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    candidates = rw.same_component_non_edges(g)
+    candidates = non_edges(g)
     if k > len(candidates):
         raise InfeasibleSearchError(
             f"k={k} exceeds the {len(candidates)} available non-edges"
@@ -218,7 +232,7 @@ def brute_force_optimal(g: gr.Graph, k: int, cap: int = BRUTE_FORCE_CAP):
 def delta_table(g: gr.Graph) -> dict[tuple[int, int], float]:
     """Exact total-resistance decrease for every same-component non-edge."""
     state = ResistanceState(g)
-    return {(u, v): state.pair_scores(u, v)[2] for u, v in rw.same_component_non_edges(g)}
+    return {(u, v): state.pair_scores(u, v)[2] for u, v in non_edges(g)}
 
 
 def nonmonotonicity_witness(g: gr.Graph, margin: float = 1e-9):
@@ -311,7 +325,7 @@ def suite_woodbury(seed: int = 0, n: int = 40, insertions: int = 50,
     g = gr.build_graph(n + 300, list(small.edges) + [(u + n, v + n) for u, v in large.edges])
     state = ResistanceState(g)
     state.best_candidate()  # builds N, so every insertion updates M and N at once
-    candidates = rw.same_component_non_edges(g)
+    candidates = non_edges(g)
     monotone = True
     for _ in range(insertions):
         pair = pop_random(rng, candidates)
@@ -321,7 +335,7 @@ def suite_woodbury(seed: int = 0, n: int = 40, insertions: int = 50,
         state.apply_edge(*pair)
         if not state.rtot < before:
             monotone = False
-    fresh = ResistanceState(state.current_graph())
+    fresh = ResistanceState(current_graph(state))
     pairs = list(zip(state.comps, fresh.comps))
     dev_m = max(float(np.max(np.abs(a.m - b.m))) for a, b in pairs)
     dev_n = max(float(np.max(np.abs(a.n2 - b.n2))) for a, b in pairs)
@@ -354,7 +368,7 @@ def suite_monotonicity(seed: int = 0, trials: int = 50, n_max: int = 25,
     for _ in range(trials):
         g = random_connected_graph(rng, rng.randint(3, n_max))
         state = ResistanceState(g)
-        candidates = rw.same_component_non_edges(g)
+        candidates = non_edges(g)
         for _ in range(insertions):
             pair = pop_random(rng, candidates)
             if pair is None:

@@ -27,6 +27,7 @@ from reswire import (
 )
 from reswire.verify import (
     brute_force_optimal,
+    current_graph,
     cycle_graph,
     delta_table,
     effective_resistance_flow,
@@ -122,11 +123,11 @@ def test_woodbury_incremental():
     g = random_connected_graph(rng, 40)
     state = ResistanceState(g)
     for _ in range(50):
-        pair = random_non_edge(rng, state.current_graph())
+        pair = random_non_edge(rng, current_graph(state))
         if pair is None:
             break
         state.apply_edge(*pair)
-    fresh = ResistanceState(state.current_graph())
+    fresh = ResistanceState(current_graph(state))
     dev_m = float(np.max(np.abs(state.comps[0].m - fresh.comps[0].m)))
     dev_n = float(np.max(np.abs(state.comps[0].n2 - fresh.comps[0].n2)))
     dev_r = abs(state.rtot - fresh.rtot) / fresh.rtot
@@ -159,7 +160,7 @@ def test_rayleigh_monotonicity():
         g = random_connected_graph(rng, rng.randint(3, 25))
         state = ResistanceState(g)
         for _ in range(5):
-            pair = random_non_edge(rng, state.current_graph())
+            pair = random_non_edge(rng, current_graph(state))
             if pair is None:
                 break
             before = state.rtot

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from reswire import (
@@ -9,7 +10,6 @@ from reswire import (
     gtr,
     random_baseline,
     rewire,
-    same_component_non_edges,
     total_resistance,
 )
 from reswire import graph as gr
@@ -17,6 +17,7 @@ from reswire.verify import (
     brute_force_optimal,
     complete_graph,
     delta_table,
+    non_edges,
     nonmonotonicity_witness,
     path_graph,
     random_connected_graph,
@@ -93,6 +94,39 @@ class TestGtr:
             assert a == pytest.approx(b, rel=1e-6)
 
 
+class TestAddedEdge:
+    """Each step's r_before, bsq_before and delta are R, B^2 and delta of its
+    pair on the graph so far, for GTR and random plans, on graphs of one
+    and of several components (one of them in the shared M/N layout)."""
+
+    @staticmethod
+    def _graphs():
+        rng = random.Random(12)
+        parts = [random_connected_graph(rng, n, 0.1) for n in (7, 30, 150)]
+        edges, off = [], 0
+        for h in parts:
+            edges += [(u + off, v + off) for u, v in h.edges]
+            off += h.n
+        return [path_graph(9), random_connected_graph(rng, 25),
+                build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),
+                build_graph(off, edges)]
+
+    @pytest.mark.parametrize("method", ["gtr", "random"])
+    def test_fields_match_fresh_state(self, method):
+        eps = np.finfo(float).eps
+        for g in self._graphs():
+            plan = rewire(g, 6, method=method, seed=5)
+            so_far = g
+            for e in plan.added:
+                want = ResistanceState(so_far).pair_scores(e.u, e.v)
+                got = (e.r_before, e.bsq_before, e.delta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+                n_c = g.component_id.count(g.component_id[e.u])
+                assert e.delta == pytest.approx(n_c * e.bsq_before / (1.0 + e.r_before),
+                                                rel=4 * eps, abs=0)
+                so_far = so_far.with_edges([(e.u, e.v)])
+
+
 class TestBruteForce:
     def test_p5_k2_beats_gtr(self, p5):
         edges, rtot = brute_force_optimal(p5, 2)
@@ -103,7 +137,7 @@ class TestBruteForce:
         rng = random.Random(8)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(4, 12))
-            if not same_component_non_edges(g):
+            if not non_edges(g):
                 continue
             edges, rtot = brute_force_optimal(g, 1)
             plan = gtr(g, 1)
@@ -131,7 +165,7 @@ class TestBruteForce:
     def test_matches_exhaustive_recompute(self, p5):
         import itertools
 
-        candidates = same_component_non_edges(p5)
+        candidates = non_edges(p5)
         best = min(
             total_resistance(p5.with_edges(c))
             for c in itertools.combinations(candidates, 2)
@@ -212,9 +246,9 @@ class TestRandomBaseline:
     def test_one_graph_split(self, monkeypatch):
         """The candidates come from the state's component vertex arrays, so
         the graph is split once; the plan is the one drawn from the sorted
-        `same_component_non_edges` list."""
+        `verify.non_edges` list."""
         g = build_graph(10, [(0, 4), (4, 7), (7, 9), (1, 2), (2, 5), (3, 8)])
-        rng, candidates = random.Random(4), same_component_non_edges(g)
+        rng, candidates = random.Random(4), non_edges(g)
         expected = [candidates.pop(rng.randrange(len(candidates))) for _ in range(3)]
         calls, split = [], gr.components
 

@@ -14,7 +14,6 @@ from reswire import (
     DisconnectedGraphError,
     IllConditionedError,
     ResistanceState,
-    biharmonic_distance_sq,
     build_graph,
     effective_resistance,
     is_bipartite,
@@ -316,26 +315,6 @@ class TestEffectiveResistance:
                 )
 
 
-class TestBiharmonic:
-    def test_k2(self, k2):
-        assert biharmonic_distance_sq(k2, 0, 1) == pytest.approx(0.5)
-
-    def test_same_vertex(self, p5):
-        assert biharmonic_distance_sq(p5, 1, 1) == 0.0
-
-    def test_positive_and_matches_pseudoinverse_square(self):
-        for g in random_graphs(6, 8, 2, 15):
-            lp2 = pseudo_inverse(laplacian(g)) @ pseudo_inverse(laplacian(g))
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    x = np.zeros(g.n)
-                    x[u], x[v] = 1.0, -1.0
-                    expected = float(x @ lp2 @ x)
-                    got = biharmonic_distance_sq(g, u, v)
-                    assert got > 0
-                    assert got == pytest.approx(expected, abs=1e-8)
-
-
 class TestTotalResistance:
     def test_p5(self, p5):
         assert total_resistance(p5) == pytest.approx(20)
@@ -509,10 +488,8 @@ class TestDenseMemo:
                 for verts, m in fresh:
                     for lu, lv in [rng.sample(range(len(verts)), 2) for _ in range(4)]:
                         u, v = int(verts[lu]), int(verts[lv])
-                        w = m[:, lu] - m[:, lv]
                         assert effective_resistance(g, u, v) == float(
                             m[lu, lu] + m[lv, lv] - 2.0 * m[lu, lv])
-                        assert biharmonic_distance_sq(g, u, v) == float(w @ w)
                 if g.num_components == 1:
                     d = np.diag(fresh[0][1])
                     assert rmax(g) == float(np.max(d[:, None] + d - 2.0 * fresh[0][1]))
@@ -809,8 +786,7 @@ def _off_panels(n, upper):
 def _batch_results(g):
     pairs = [(0, g.n - 1), (g.n // 2, 1), (g.n // 3, 2 * g.n // 3), (g.n - 1, g.n - 2)]
     return ([total_resistance(g), rmax(g), mu_bound(g)]
-            + [effective_resistance(g, u, v) for u, v in pairs]
-            + [biharmonic_distance_sq(g, u, v) for u, v in pairs], spectral_gap(g), pairs)
+            + [effective_resistance(g, u, v) for u, v in pairs], spectral_gap(g), pairs)
 
 
 class TestTriangleStorage:
@@ -836,8 +812,7 @@ class TestTriangleStorage:
         ((_, _, m),) = sp.component_inverses(g)
         d = np.diag(m)
         want = ([g.n * float(np.trace(m)) - g.n, float(np.max(d[:, None] + d - 2.0 * m))]
-                + [float(m[u, u] + m[v, v] - 2.0 * m[u, v]) for u, v in pairs]
-                + [float((m[:, u] - m[:, v]) @ (m[:, u] - m[:, v])) for u, v in pairs])
+                + [float(m[u, u] + m[v, v] - 2.0 * m[u, v]) for u, v in pairs])
         assert got[:2] == want[:2] and got[3:] == want[2:]  # got[2] is mu
         ritz = sp._lanczos(lambda x: m @ x - x.mean(), g.n, both=False)
         if ritz is not None:

@@ -27,9 +27,12 @@ from reswire.spectral import _inf_norm
 from reswire.state import _Component
 from reswire.verify import (
     complete_graph,
+    current_graph,
     cycle_graph,
     delta_table,
+    non_edges,
     path_graph,
+    pseudo_inverse,
     random_connected_graph,
     random_non_edge,
 )
@@ -141,9 +144,22 @@ class TestPairScores:
             for scan in (False, True):
                 if scan:
                     s.best_candidate()
-                for u, v in same_component_non_edges(g):
+                for u, v in non_edges(g):
                     r, bsq, delta = s.pair_scores(u, v)
                     assert r > 0 and bsq > 0 and delta > 0
+
+    def test_bsq_matches_pseudoinverse_square(self):
+        # B^2 = (e_u - e_v)^T (L^+)^2 (e_u - e_v) over every non-edge: from w,
+        # then from M and N once a scan has built N
+        for g in random_graphs(6, 8, 2, 15):
+            lp = pseudo_inverse(laplacian(g))
+            s = ResistanceState(g)
+            for scan in (False, True):
+                if scan:
+                    s.best_candidate()
+                for u, v in non_edges(g):
+                    x = lp[:, u] - lp[:, v]
+                    assert s.pair_scores(u, v)[1] == pytest.approx(float(x @ x), abs=1e-8)
 
 
 class TestApplyEdge:
@@ -160,11 +176,11 @@ class TestApplyEdge:
         g = random_connected_graph(rng, 40)
         s = ResistanceState(g)
         for _ in range(50):
-            pair = random_non_edge(rng, s.current_graph())
+            pair = random_non_edge(rng, current_graph(s))
             if pair is None:
                 break
             s.apply_edge(*pair)
-        fresh = ResistanceState(s.current_graph())
+        fresh = ResistanceState(current_graph(s))
         assert np.max(np.abs(s.comps[0].m - fresh.comps[0].m)) <= 1e-8
         assert np.max(np.abs(s.comps[0].n2 - fresh.comps[0].n2)) <= 1e-7
         assert abs(s.rtot - fresh.rtot) / fresh.rtot <= 1e-6
@@ -175,7 +191,7 @@ class TestApplyEdge:
             g = random_connected_graph(rng, rng.randint(4, 20))
             s = ResistanceState(g)
             for _ in range(5):
-                pair = random_non_edge(rng, s.current_graph())
+                pair = random_non_edge(rng, current_graph(s))
                 if pair is None:
                     break
                 before = s.rtot
@@ -216,7 +232,7 @@ class TestAllPairScores:
         for g in (p5, _union(rng, [7, 200])):
             built, fresh = ResistanceState(g), ResistanceState(g)
             built.best_candidate()
-            table, pairs = delta_table(g), same_component_non_edges(g)
+            table, pairs = delta_table(g), non_edges(g)
             assert list(table) == pairs
             for u, v in rng.sample(pairs, min(len(pairs), 400)):
                 scores = built.pair_scores(u, v)
@@ -232,7 +248,7 @@ def _dense_scores(s, c):
     from the `m` and `n2` copies: the entries and the arithmetic that
     `pair` reads once N exists, so the values are the same bits."""
     n2, m = c.n2, c.m
-    pairs = np.array(same_component_non_edges(s.current_graph()), dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(non_edges(current_graph(s)), dtype=np.int64).reshape(-1, 2)
     a, b = c.verts.searchsorted(pairs[np.isin(pairs[:, 0], c.verts)]).T
     r = m[a, a] + m[b, b] - 2.0 * m[a, b]
     bsq = n2[a, a] + n2[b, b] - 2.0 * n2[a, b]
@@ -243,7 +259,7 @@ def _reference_best(s):
     """The lexicographically first candidate whose pair_scores delta lies
     within the tie band of the largest: delta >= max - |max| * band of its
     component, as `best_candidate` promises."""
-    rows = [(u, v, *s.pair_scores(u, v)) for u, v in same_component_non_edges(s.current_graph())]
+    rows = [(u, v, *s.pair_scores(u, v)) for u, v in non_edges(current_graph(s))]
     if not rows:
         return None
     best = max(row[4] for row in rows)
@@ -311,8 +327,8 @@ class TestTieBand:
                   for _ in range(12)]
         for g in graphs + [_union(rng, [130])]:
             s = ResistanceState(g)
-            s.best_candidate()  # builds N, which sets the band
-            for c in s.comps:
+            for c in s.comps:  # building N sets the band; no scan has kept a list yet
+                c._build_n()
                 c.band = band
             for _ in range(3 if g in graphs else 1):
                 best = s.best_candidate()
@@ -367,7 +383,7 @@ class TestPackedLayout:
         for _ in range(6):
             s.apply_edge(*s.best_candidate()[:2])
         _random_insertions(s, rng, 5)
-        fresh = ResistanceState(s.current_graph())
+        fresh = ResistanceState(current_graph(s))
         firsts, best = [], 0.0
         for c, f in zip(s.comps, fresh.comps):
             assert c._n2 is not None
@@ -416,12 +432,37 @@ class TestKernel:
                     break
                 s.apply_edge(*best[:2])
 
+    def test_step_rescans_only_the_changed_component(self, monkeypatch):
+        # 40 disjoint P4 and one P20: after the first step, a step scores the
+        # chunks of the component that took the last edge, plus one chunk per
+        # `first_at_least` re-score, and picks as the reference does
+        edges = [(4 * i + j, 4 * i + j + 1) for i in range(40) for j in range(3)]
+        g = build_graph(180, edges + [(160 + j, 161 + j) for j in range(19)])
+        scored, rescored = [], []
+        chunk_scores, first_at_least = _Component._chunk_scores, _Component.first_at_least
+        monkeypatch.setattr(_Component, "_chunk_scores",
+                            lambda c, *a: scored.append(c) or chunk_scores(c, *a))
+        monkeypatch.setattr(_Component, "first_at_least",
+                            lambda c, *a: rescored.append(c) or first_at_least(c, *a))
+        s, changed = ResistanceState(g), None
+        for _ in range(8):
+            scored.clear()
+            rescored.clear()
+            best = s.best_candidate()
+            if changed is None:
+                assert len(scored) == sum(len(c._chunks) for c in s.comps) + len(rescored)
+            else:
+                assert Counter(scored) == Counter([changed] * len(changed._chunks) + rescored)
+            assert best == _reference_best(s)
+            s.apply_edge(*best[:2])
+            changed = next(c for c in s.comps if best[0] in c.verts)
+
     def test_gtr_insertions_match_scratch(self):
         g = random_connected_graph(random.Random(23), 60, 0.1)
         s = ResistanceState(g)
         for _ in range(50):
             s.apply_edge(*s.best_candidate()[:2])
-        fresh = ResistanceState(s.current_graph())
+        fresh = ResistanceState(current_graph(s))
         assert np.max(np.abs(s.comps[0].m - fresh.comps[0].m)) <= 1e-12
         assert np.max(np.abs(s.comps[0].n2 - fresh.comps[0].n2)) <= 1e-12
 
@@ -459,7 +500,7 @@ class TestKernel:
 def _random_insertions(s, rng, count):
     """Score and add `count` uniform random candidates, as the random
     baseline does."""
-    candidates = same_component_non_edges(s.current_graph())
+    candidates = non_edges(current_graph(s))
     for _ in range(count):
         u, v = candidates.pop(rng.randrange(len(candidates)))
         s.pair_scores(u, v)
@@ -477,7 +518,7 @@ class TestDelayed:
         s = ResistanceState(_union(rng, sizes))
         _random_insertions(s, rng, count)
         per_comp = Counter(s.original.component_id[u] for u, _ in s.added_edges)
-        fresh = ResistanceState(s.current_graph())
+        fresh = ResistanceState(current_graph(s))
         for label, (c, f) in enumerate(zip(s.comps, fresh.comps)):
             # each component went through a flush, and none built N
             assert per_comp[label] >= c.size and c._n2 is None
@@ -490,9 +531,9 @@ class TestDelayed:
         s = ResistanceState(_union(rng, [9, 14]))
         _random_insertions(s, rng, 30)
         # the delayed scores match M and N of a state built from scratch
-        fresh = ResistanceState(s.current_graph())
+        fresh = ResistanceState(current_graph(s))
         fresh.best_candidate()
-        for u, v in same_component_non_edges(s.current_graph()):
+        for u, v in non_edges(current_graph(s)):
             assert s.pair_scores(u, v) == pytest.approx(fresh.pair_scores(u, v), rel=1e-9)
         assert all(c._n2 is None for c in s.comps)
         assert all(c._n2 is not None for c in fresh.comps)
@@ -502,7 +543,7 @@ class TestDelayed:
         for _ in range(20):
             g = _union(rng, [rng.randint(2, 12) for _ in range(rng.randint(1, 3))])
             s = ResistanceState(g)
-            _random_insertions(s, rng, rng.randrange(len(same_component_non_edges(g)) + 1))
+            _random_insertions(s, rng, rng.randrange(len(non_edges(g)) + 1))
             assert all(c._n2 is None for c in s.comps)
             for _ in range(2):  # the first scan applies the pending rows and builds N
                 best = s.best_candidate()
@@ -515,8 +556,8 @@ class TestDelayed:
 def _assert_view_matches(s):
     """The state's view of its candidates pops, from the end, each pair of
     the sorted non-edge list of its current graph."""
-    view = same_component_non_edges(s.original, state=s)
-    pairs = same_component_non_edges(s.current_graph())
+    view = same_component_non_edges(s)
+    pairs = non_edges(current_graph(s))
     assert len(view) == len(pairs)
     for i in reversed(range(len(pairs))):
         assert view.pop(i) == pairs[i]  # the last pair of a row: no apply_edge needed
@@ -524,8 +565,8 @@ def _assert_view_matches(s):
 
 
 class TestCandidateView:
-    """`same_component_non_edges(g, state=s)` reads the neighbour lists the
-    state keeps, original and added edges: its i-th pair is that of the
+    """`same_component_non_edges(s)` reads the neighbour lists the state
+    keeps, original and added edges: its i-th pair is that of the
     current graph's sorted non-edges, before and after insertions, pending
     or with N built, in components of 1, 2, 129 and 300 vertices."""
 
@@ -540,8 +581,8 @@ class TestCandidateView:
         _random_insertions(s, rng, 5)
         _assert_view_matches(s)
         # drawn and added one at a time, as the random baseline does
-        view = same_component_non_edges(g, state=s)
-        pairs = same_component_non_edges(s.current_graph())
+        view = same_component_non_edges(s)
+        pairs = non_edges(current_graph(s))
         for _ in range(100):
             i = rng.randrange(len(pairs))
             pair = view.pop(i)
