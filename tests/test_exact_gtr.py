@@ -41,8 +41,8 @@ def _exact_first_maximiser(g):
     """The lexicographically first same-component non-edge of largest exact delta."""
     m, n = _exact_inverse(g), g.n
     n2 = [[sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    delta = {(u, v): n * (n2[u][u] + n2[v][v] - 2 * n2[u][v]) / (1 + m[u][u] + m[v][v] - 2 * m[u][v])
-             for u, v in non_edges(g)}
+    delta = {(u, v): n * (n2[u][u] + n2[v][v] - 2 * n2[u][v])
+             / (1 + m[u][u] + m[v][v] - 2 * m[u][v]) for u, v in non_edges(g)}
     best = max(delta.values())
     return min(p for p, d in delta.items() if d == best)
 
@@ -52,10 +52,9 @@ def _star(leaves):
 
 
 def _grid(rows, cols):
-    at = lambda r, c: r * cols + c  # noqa: E731
-    return build_graph(rows * cols, [(at(r, c), at(r, c + 1)) for r in range(rows)
-                                     for c in range(cols - 1)]
-                       + [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)])
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, right + down)
 
 
 def _graphs():
