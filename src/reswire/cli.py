@@ -53,7 +53,16 @@ def _writable(paths, make_parents=False) -> bool:
 
 
 def _load_graph(path) -> gr.Graph:
-    return gr.from_edge_list(Path(path).read_text())
+    """The graph of an edge-list file, read as UTF-8: a byte that is not
+    is an EdgeListParseError naming its line, like any other fault."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the text before the bad byte decodes
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise EdgeListParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                                 line=line) from None
+    return gr.from_edge_list(text)
 
 
 def _plan_payload(input_name, plan: rw.RewirePlan) -> dict:

@@ -60,8 +60,8 @@ build's temporaries are one block square. An insertion then writes M's
 rank-1 term from each row's diagonal on and N's rank-2 term left of it,
 taking U's rows left of row i's block from row i + s(i); Mw is a
 difference of two columns of N, gathered from the pieces in O(n_c).
-Outside the scan only these column gathers (also behind the `m` and `n2`
-copies) and `_n_at`, one entry of N for `pair`, read the layout.
+Outside the scan only these column gathers read the layout, also behind
+`pair`'s w and the `m` and `n2` copies.
 
 Tie band. `best_candidate` returns the lexicographically first pair whose
 delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
@@ -235,25 +235,12 @@ class _Component:
         self._flush()
         return self.size * float(np.trace(self._m)) - self.size
 
-    def _n_at(self, a: int, b: int) -> float:
-        """N_ab for local indices a <= b."""
-        if not self._packed:
-            return self._n2[a, b]
-        if a == b:
-            return self._n2[a]
-        hi = self._bounds[self._block[a] + 1]
-        return self._m[b, a] if b < hi else self._m[self._mirror[a], b - hi]
-
     def pair(self, a: int, b: int):
-        """R, B^2 and delta of the local pair a < b: from M and N once N
-        exists, else from w, so N is not built for it."""
-        if self._n2 is None:
-            w = self._diff(a, b)
-            r, bsq = w[a] - w[b], w @ w
-        else:
-            m = self._m
-            r = m[a, a] + m[b, b] - 2.0 * m[a, b]
-            bsq = self._n_at(a, a) + self._n_at(b, b) - 2.0 * self._n_at(a, b)
+        """R, B^2 and delta of the local pair a < b from w, the column
+        difference that `insert` reads: R = w_a - w_b, B^2 = w^T w. N is
+        neither built nor read for it."""
+        w = self._diff(a, b)
+        r, bsq = w[a] - w[b], w @ w
         return r, bsq, self.size * bsq / (1.0 + r)
 
     def _scan_setup(self):
@@ -372,12 +359,9 @@ class _Component:
 
 class ResistanceState:
     """Single-writer cache. pair_scores writes nothing; best_candidate may
-    apply pending insertions and build N. Until N exists, pair_scores
-    scores from w = M[:, u] - M[:, v]; from then on from the entries of M
-    and N that the scan reads, so it returns the scan's delta to the bit.
-    The two routes agree to a few ulps, not to the bit: on 1500 sampled
-    pairs of 30 random graphs (n = 20..300), 1338 scores changed once
-    best_candidate had run, by at most 3.8e-15 relative."""
+    apply pending insertions and build N. pair_scores scores from
+    w = M[:, u] - M[:, v], the w that apply_edge takes for the R_tot drop,
+    so a pair's scores depend only on the edges, not on whether N exists."""
 
     def __init__(self, g: gr.Graph):
         self.original = g

@@ -462,6 +462,45 @@ class TestCurve:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
+NOT_UTF8 = b"0 1\n\xff 2\n"
+
+
+class TestNotUtf8:
+    """An input that is not UTF-8 is an input error like any other: one
+    error line naming the line of the bad byte, exit 2, and in a batch the
+    other inputs still run."""
+
+    @pytest.mark.parametrize("command", ["stats", "bounds", "rewire", "curve"])
+    def test_input_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.el"
+        path.write_bytes(NOT_UTF8)
+        k = ["--k", "1"] if command in ("rewire", "curve") else []
+        assert main([command, "--input", str(path)] + k) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*line 2: not UTF-8 text \(byte 0xff\)\n",
+                            captured.err)
+
+    @pytest.mark.parametrize("command", ["rewire", "curve"])
+    def test_batch_skips_it(self, tmp_path, monkeypatch, capsys, command):
+        d, out = tmp_path / "in", tmp_path / "out"
+        d.mkdir()
+        (d / "a.el").write_text(P5)
+        (d / "bad.el").write_bytes(NOT_UTF8)
+        (d / "c.el").write_text(C5_CHORD)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([command, "--input-dir", str(d), "--k", "1", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: \S*bad\.el: line 2: not UTF-8 text[^\n]*\n", captured.err)
+        if command == "rewire":
+            assert sorted(p.name for p in out.iterdir()) == [
+                "a.plan.json", "a.rewired.el", "c.plan.json", "c.rewired.el"]
+        else:
+            lines = out.read_text().splitlines()
+            assert lines[0] == "edges_added,mean_rtot,graph_count"
+            assert [line.split(",")[2] for line in lines[1:]] == ["2", "2"]
+
+
 def _edge_text(edges):
     return "".join(f"{u} {v}\n" for u, v in edges)
 

@@ -225,8 +225,8 @@ class TestAllPairScores:
             assert len(rows) == expected
 
     def test_rows_match_pair_scores(self, p5):
-        # scores from M and N, once a scan has built N, against those from
-        # w of a state without N, as delta_table reads them; the 200-vertex
+        # a state whose scan has built N scores every pair to the bit as
+        # one without N, as delta_table reads them; the 200-vertex
         # component shares one array between M and N
         rng = random.Random(59)
         for g in (p5, _union(rng, [7, 200])):
@@ -236,7 +236,7 @@ class TestAllPairScores:
             assert list(table) == pairs
             for u, v in rng.sample(pairs, min(len(pairs), 400)):
                 scores = built.pair_scores(u, v)
-                assert scores == pytest.approx(fresh.pair_scores(u, v), abs=1e-12)
+                assert scores == fresh.pair_scores(u, v)
                 assert scores[2] == pytest.approx(table[u, v], abs=1e-12)
             assert all(c._n2 is not None for c in built.comps)
             assert all(c._n2 is None for c in fresh.comps)
@@ -245,8 +245,8 @@ class TestAllPairScores:
 def _dense_scores(s, c):
     """(a, b, [R, B^2, delta]) of every candidate a < b of the component c
     of state s, the non-edges of s's current graph in row-major order,
-    from the `m` and `n2` copies: the entries and the arithmetic that
-    `pair` reads once N exists, so the values are the same bits."""
+    from the `m` and `n2` copies: the scan's entries of M and N and its
+    arithmetic, R = M_aa + M_bb - 2 M_ab and B^2 = N_aa + N_bb - 2 N_ab."""
     n2, m = c.n2, c.m
     pairs = np.array(non_edges(current_graph(s)), dtype=np.int64).reshape(-1, 2)
     a, b = c.verts.searchsorted(pairs[np.isin(pairs[:, 0], c.verts)]).T
@@ -392,7 +392,7 @@ class TestPackedLayout:
             a, b, scores = _dense_scores(s, c)
             assert np.allclose(scores, _dense_scores(fresh, f)[2], rtol=1e-9, atol=0)
             for i in rng.sample(range(len(a)), min(len(a), 200)):
-                assert c.pair(a[i], b[i]) == tuple(scores[:, i])
+                assert c.pair(a[i], b[i]) == pytest.approx(tuple(scores[:, i]), rel=1e-12)
             best = max(best, scores[2].max())
             firsts.append((c, a, b, scores))
         # the band contract, from the scores of every pair
