@@ -15,7 +15,8 @@ TRIANGLE_LEAF rows), then forms M = C^{-T} C^{-1} there too (top down,
 LAPACK's lauum) in its lower triangle and diagonal panels, mirrored for the state
 by `component_inverses`. Every product goes a panel at a time, so the set-up
 holds n^2 doubles plus one CHOLESKY_ROWS * n workspace, where an LU inverse
-needs 4 n^2; its rcond bound reads ||A||_inf from the degrees.
+needs 4 n^2. Its rcond bound's factors ||A||_inf (from the degrees) and
+||M||_inf are returned with M: the state's tie band reads kappa from them.
 The independent routes to the same quantities (pseudoinverses, minimum-norm
 flows, the power series) live in `verify`.
 
@@ -57,9 +58,9 @@ MU_STEP_GROWTH = 10.0  # factor on t - theta after a failed certificate
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
-    """M = (L + 11^T/n)^{-1} for the Laplacian of one connected component,
-    formed in `lap`'s lower triangle and diagonal panels alone; returns `lap`.
+def regularized_inverse_dense(lap: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(M, ||A||_inf, ||M||_inf) for the Laplacian `lap` of one connected component:
+    M = A^{-1}, A = L + 11^T/n, formed in lap's lower triangle and diagonal panels; M is `lap`.
 
     A = L + J/n is symmetric positive definite, so M is formed as LAPACK's
     potri forms it (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): A =
@@ -71,7 +72,8 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
     CHOLESKY_ROWS rows it holds none, and one syrk forms all of M.
     IllConditionedError if a pivot is not positive, or if M is not finite
     or the rcond lower bound 1/(||A||_inf ||M||_inf), with ||A||_inf read
-    from L's diagonal, the degrees (`_shifted_norm`), is below RCOND_LIMIT."""
+    from L's diagonal, the degrees (`_shifted_norm`), is below RCOND_LIMIT.
+    The two norms are the bound's factors, returned for the state's tie band."""
     n = len(lap)
     norm_a = _shifted_norm(lap.diagonal().max(), n)  # before the shift
     for r0, r1 in _panels(n):
@@ -91,12 +93,13 @@ def regularized_inverse_dense(lap: np.ndarray) -> np.ndarray:
         for r0, r1 in _panels(n):  # each diagonal panel: its lower triangle mirrored up
             d = lap[r0:r1, r0:r1]
             d[...] = np.tril(d) + np.tril(d, -1).T
-    rcond = 1.0 / (norm_a * _inf_norm(lap))
+    norm_m = _inf_norm(lap)
+    rcond = 1.0 / (norm_a * norm_m)
     if not rcond >= RCOND_LIMIT:
         raise IllConditionedError(
             f"reciprocal condition estimate {rcond:.3e} below {RCOND_LIMIT:.0e}"
         )
-    return lap
+    return lap, norm_a, norm_m
 
 
 def _shifted_norm(d_max: float, n: int) -> float:
@@ -189,16 +192,16 @@ _SINGLETON_M.flags.writeable = False
 
 
 def component_inverses(g: gr.Graph):
-    """Per-component (vertex array, own graph, M) triples from one split
-    of `g`, ordered by component label, each M from the Laplacian of that
-    component's own graph, its lower triangle mirrored up exactly. A
-    one-vertex component has L + 11^T/n = [[1]], so its M = [[1.0]] is not
-    inverted: every one-vertex component shares one read-only array."""
-    out = [(verts, sub, _SINGLETON_M if sub.n == 1
-            else regularized_inverse_dense(gr.laplacian(sub)))
+    """Per-component (vertex array, own graph, M, ||A||_inf, ||M||_inf) from one
+    split of `g`, ordered by component label, each from `regularized_inverse_dense`
+    of that component's own Laplacian, M mirrored up exactly. A one-vertex
+    component has A = [[1]], so its M = [[1.0]] (norms 1.0) is not inverted:
+    every one-vertex component shares one read-only array."""
+    out = [(verts, sub, *((_SINGLETON_M, 1.0, 1.0) if sub.n == 1
+                          else regularized_inverse_dense(gr.laplacian(sub))))
            for verts, sub in gr.components(g)]
-    for _, sub, m in out:
-        for r0, r1 in _panels(sub.n)[:-1]:
+    for _, _, m, _, _ in out:
+        for r0, r1 in _panels(len(m))[:-1]:
             m[r0:r1, r1:] = m[r1:, r0:r1].T
     return out
 
@@ -215,7 +218,7 @@ def _lower_laplacian(g: gr.Graph) -> np.ndarray:
 def _inverses(g: gr.Graph):
     """(vertex array, read-only M) per component, M unmirrored from `_lower_laplacian`."""
     pairs = tuple((verts, _SINGLETON_M if sub.n == 1
-                   else regularized_inverse_dense(_lower_laplacian(sub)))
+                   else regularized_inverse_dense(_lower_laplacian(sub))[0])
                   for verts, sub in gr.components(g))
     for _, m in pairs:
         m.flags.writeable = False

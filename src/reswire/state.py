@@ -65,19 +65,18 @@ Outside the scan only these column gathers read the layout, also behind
 
 Tie band. `best_candidate` returns the lexicographically first pair whose
 delta lies within |delta_max| * TIE_BAND * eps * kappa of the largest, so
-exact ties do not break by roundoff. kappa = ||A||_inf ||M||_inf of the
-pair's component (A = L + J/n), with ||A||_inf from the degrees by
-`spectral._shifted_norm`, the one definition the set-up's rcond bound also
-reads, and M as N is built: for GTR, the set-up's M. Each scan block keeps
-its maximum and its first pair within the band of that maximum; the global
-band can only be narrower, so that pair is the block's answer unless its
-delta falls outside, and only then is the block scored again. A component
-keeps these answers until its next insertion, so a step scans only the
-component that took the last edge.
+exact ties do not break by roundoff. kappa = ||A||_inf ||M||_inf, the
+inverse of the set-up's rcond bound for the pair's component (A = L + J/n),
+is fixed at construction from the two factors that come with the set-up's M.
+Each scan block keeps its maximum and its first pair within the band of that
+maximum; the global band can only be narrower, so that pair is the block's
+answer unless its delta falls outside, and only then is the block scored
+again. A component keeps these answers until its next insertion, so a step
+scans only the component that took the last edge.
 
-Each component works on local indices: its vertex array, its own graph
-and its M come from one `spectral.component_inverses` call (one split of
-the graph), and a vertex's local index is its position in that array.
+Each component works on local indices: its vertex array, own graph, M and
+kappa's factors come from one `spectral.component_inverses` call (one split
+of the graph), and a vertex's local index is its position in that array.
 """
 
 from __future__ import annotations
@@ -116,18 +115,17 @@ def _tri(h: int, k: int = 0) -> np.ndarray:
 
 
 class _Component:
-    __slots__ = ("verts", "size", "band", "_above", "_edges", "_norm_a", "_m", "_n2", "_v",
-                 "_p", "_bounds", "_chunks", "_rows", "_packed", "_block", "_mirror", "_top")
+    __slots__ = ("verts", "size", "band", "_above", "_edges", "_m", "_n2", "_v", "_p",
+                 "_bounds", "_chunks", "_rows", "_packed", "_block", "_mirror", "_top")
 
-    def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray):
+    def __init__(self, verts: np.ndarray, sub: gr.Graph, m: np.ndarray, norm_a: float,
+                 norm_m: float):
         n = sub.n
         self.verts, self.size = verts, n
         self._m, self._n2 = m, None  # N, or N's diagonal once packed: see `_build_n`
         self._v, self._p = None, 0  # pending rows, allocated on the first delay
         a, b = sub._edge_array.T
-        # the band waits for ||M||_inf, read when N is built (never in the random baseline)
-        self._norm_a = sp._shifted_norm(gr.degrees(sub).max(), n)
-        self.band = None
+        self.band = TIE_BAND * np.finfo(float).eps * norm_a * norm_m
         self._bounds = bounds = _block_bounds(n)
         self._rows = rows = min(n, sp.BLOCK_ROWS if len(bounds) == 2 else PACKED_ROWS)
         # (first row, end row, block start, block end, index) of each chunk of rows
@@ -170,7 +168,6 @@ class _Component:
         self._flush()
         self._v = None  # from here on insertions update M and N at once
         p, n, bounds = self._m, self.size, self._bounds
-        self.band = TIE_BAND * np.finfo(float).eps * self._norm_a * sp._inf_norm(p)
         if len(bounds) == 2:
             self._n2 = np.matmul(p.T, p)  # syrk: N exactly symmetric
             return
@@ -278,8 +275,7 @@ class _Component:
         filters them against the global maximum), where (a, b) is the
         chunk's first pair in row-major order within the band of the
         chunk's maximum. Empty if the component is complete. Kept until the
-        next `insert`: nothing else changes the scores, and the band is
-        fixed once N is built."""
+        next `insert`: nothing else changes the scores, and the band never changes."""
         if self._top is not None:
             return self._top
         if self._n2 is None:
@@ -366,7 +362,7 @@ class ResistanceState:
     def __init__(self, g: gr.Graph):
         self.original = g
         # No candidate lies in a one-vertex component, and it adds 0 to R_tot.
-        self._by_label = {label: _Component(verts, sub, m) for label, (verts, sub, m)
+        self._by_label = {label: _Component(verts, sub, *rest) for label, (verts, sub, *rest)
                           in enumerate(sp.component_inverses(g)) if sub.n > 1}
         self.comps = list(self._by_label.values())
         self.rtot = sum((c.rtot() for c in self.comps), 0.0)

@@ -788,8 +788,12 @@ class TestVerify:
         under this fault (max deviation 1.38e-7, tolerance 1e-6): both of
         its sides, Δ and the R_tot difference, read the same M."""
         inverse = sp.regularized_inverse_dense
-        monkeypatch.setattr(sp, "regularized_inverse_dense",
-                            lambda lap: inverse(lap) * (1.0 + 1e-6))
+
+        def faulty(lap):
+            m, norm_a, norm_m = inverse(lap)
+            return m * (1.0 + 1e-6), norm_a, norm_m
+
+        monkeypatch.setattr(sp, "regularized_inverse_dense", faulty)
         sp._inverses.cache_clear()
         try:
             assert main(["verify", "--suite", suite]) == 1

@@ -92,7 +92,7 @@ def test_last_pair_within_the_band_is_caught(monkeypatch):
     first_within_band = ResistanceState.best_candidate
 
     def last_within_band(state):
-        if first_within_band(state) is None:  # builds N, which sets each band
+        if first_within_band(state) is None:  # every component is complete
             return None
         rows = [(u, v, *state.pair_scores(u, v)) for u, v in non_edges(current_graph(state))]
         top = max(row[4] for row in rows)

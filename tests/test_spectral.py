@@ -85,7 +85,7 @@ def parallel_paths(len_a, len_b):
 
 class TestRegularizedInverse:
     def test_k2_hand_value(self, k2):
-        m = regularized_inverse_dense(laplacian(k2))
+        m, _, _ = regularized_inverse_dense(laplacian(k2))
         assert np.allclose(m, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
 
     def test_k2_pseudoinverse(self, k2):
@@ -94,13 +94,13 @@ class TestRegularizedInverse:
 
     def test_definition(self):
         for g in random_graphs(1, 5, 3, 12):
-            m = regularized_inverse_dense(laplacian(g))
+            m, _, _ = regularized_inverse_dense(laplacian(g))
             a = laplacian(g) + np.ones((g.n, g.n)) / g.n
             assert np.allclose(m @ a, np.eye(g.n), atol=1e-8)
 
     def test_matches_pseudoinverse_plus_j(self):
         for g in random_graphs(2, 10, 2, 30):
-            m = regularized_inverse_dense(laplacian(g))
+            m, _, _ = regularized_inverse_dense(laplacian(g))
             lp = pseudo_inverse(laplacian(g))
             assert np.allclose(m - np.ones((g.n, g.n)) / g.n, lp, atol=1e-8)
 
@@ -116,7 +116,7 @@ class TestRegularizedInverse:
         rng = random.Random(n)
         for g in (random_connected_graph(rng, n, 0.05), path_graph(n), complete_graph(n)):
             a = laplacian(g) + 1.0 / n
-            ((_, _, m),) = sp.component_inverses(g)
+            ((_, _, m, _, _),) = sp.component_inverses(g)
             assert np.array_equal(m, m.T)
             assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-8
             w = np.linalg.eigvalsh(a)
@@ -173,7 +173,7 @@ class TestRegularizedInverse:
         lap = laplacian(random_connected_graph(random.Random(3), 300, 0.02))
         read, inf_norm = [], sp._inf_norm
         monkeypatch.setattr(sp, "_inf_norm", lambda x: read.append(x) or inf_norm(x))
-        m = regularized_inverse_dense(lap)
+        m, _, _ = regularized_inverse_dense(lap)
         assert len(read) == 1 and read[0] is m
 
     def test_nan_in_m_past_first_block_raises(self, monkeypatch):
@@ -201,7 +201,7 @@ class TestRegularizedInverse:
         rng = random.Random(n)
         for g in (random_connected_graph(rng, n, 0.05), path_graph(n), complete_graph(n)):
             a = laplacian(g) + 1.0 / n
-            ((_, _, m),) = sp.component_inverses(g)
+            ((_, _, m, _, _),) = sp.component_inverses(g)
             assert np.array_equal(m, m.T)
             assert np.max(np.abs(m @ a - np.eye(n))) <= 1e-8
             w = np.linalg.eigvalsh(a)
@@ -212,7 +212,7 @@ class TestRegularizedInverse:
     @pytest.mark.parametrize("n", [2, 129, 300])
     def test_m_in_laplacian_storage(self, n):
         lap = laplacian(random_connected_graph(random.Random(n), n, 0.05))
-        assert regularized_inverse_dense(lap) is lap
+        assert regularized_inverse_dense(lap)[0] is lap
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 96, 127, 128])
     def test_invert_lower_panel_edges(self, n):
@@ -233,7 +233,7 @@ class TestRegularizedInverse:
         for g in (random_connected_graph(random.Random(n), n, 0.1), path_graph(n)):
             x = np.linalg.cholesky(laplacian(g) + 1.0 / n)
             sp._invert_lower(x)
-            assert np.array_equal(regularized_inverse_dense(laplacian(g)), x.T @ x)
+            assert np.array_equal(regularized_inverse_dense(laplacian(g))[0], x.T @ x)
 
 
 class TestEffectiveResistance:
@@ -472,7 +472,7 @@ def fresh_inverses(g):
         verts = np.flatnonzero(labels == c)
         local = np.searchsorted(verts, [e for e in g.edges if labels[e[0]] == c])
         sub = build_graph(len(verts), local.tolist())
-        out.append((verts, regularized_inverse_dense(laplacian(sub))))
+        out.append((verts, regularized_inverse_dense(laplacian(sub))[0]))
     return out
 
 
@@ -724,11 +724,11 @@ def test_resistance_matches_networkx(g):
 
 def test_singletons_are_not_inverted(monkeypatch):
     """Many isolated vertices: one inverse per component of two or more
-    vertices, and the same (vertex array, own graph, M) triples as
+    vertices, and the same vertex arrays, own graphs and M as
     splitting the graph and inverting each component."""
     rng = random.Random(8)
     g = shuffled_union(rng, [1, 7, 1, 1, 12, 1, 2, 1])
-    expected = [(verts, sub, regularized_inverse_dense(laplacian(sub)))
+    expected = [(verts, sub, regularized_inverse_dense(laplacian(sub))[0])
                 for verts, sub in components(g)]
     calls = []
 
@@ -740,7 +740,7 @@ def test_singletons_are_not_inverted(monkeypatch):
     got = sp.component_inverses(g)
     assert sorted(calls) == [2, 7, 12]
     assert len(got) == len(expected)
-    for (v1, s1, m1), (v2, s2, m2) in zip(got, expected):
+    for (v1, s1, m1, _, _), (v2, s2, m2) in zip(got, expected):
         assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
         assert (s1.n, s1.edges) == (s2.n, s2.edges)
 
@@ -750,12 +750,12 @@ def test_connected_graph_is_its_own_component():
     its M is the one the relabelling route gives: that of the same graph
     beside an isolated vertex."""
     g = random_connected_graph(random.Random(12), 150, 0.05)
-    ((verts, sub, m),) = sp.component_inverses(g)
+    ((verts, sub, m, _, _),) = sp.component_inverses(g)
     assert sub is g and np.array_equal(verts, np.arange(g.n))
-    (_, copy, ref), _ = sp.component_inverses(build_graph(g.n + 1, g.edges))
+    (_, copy, ref, _, _), _ = sp.component_inverses(build_graph(g.n + 1, g.edges))
     assert copy is not g and copy.edges == g.edges
     assert np.array_equal(m, ref)
-    ((verts, sub, m),) = sp.component_inverses(build_graph(1, []))
+    ((verts, sub, m, _, _),) = sp.component_inverses(build_graph(1, []))
     assert sub.n == 1 and verts.tolist() == [0] and m.tolist() == [[1.0]]
 
 
@@ -809,7 +809,7 @@ class TestTriangleStorage:
         got, got_gap, _ = _batch_results(g)
         assert got == plain and got_gap == plain_gap
         # the same bits as whole rows and columns of the mirrored, full M give
-        ((_, _, m),) = sp.component_inverses(g)
+        ((_, _, m, _, _),) = sp.component_inverses(g)
         d = np.diag(m)
         want = ([g.n * float(np.trace(m)) - g.n, float(np.max(d[:, None] + d - 2.0 * m))]
                 + [float(m[u, u] + m[v, v] - 2.0 * m[u, v]) for u, v in pairs])

@@ -24,7 +24,7 @@ from reswire import graph as gr
 from reswire import spectral as sp
 from reswire.rewiring import gtr, random_baseline
 from reswire.spectral import _inf_norm
-from reswire.state import _Component
+from reswire.state import TIE_BAND, _Component
 from reswire.verify import (
     complete_graph,
     current_graph,
@@ -327,7 +327,7 @@ class TestTieBand:
                   for _ in range(12)]
         for g in graphs + [_union(rng, [130])]:
             s = ResistanceState(g)
-            for c in s.comps:  # building N sets the band; no scan has kept a list yet
+            for c in s.comps:  # N built before the band is widened; no scan has kept a list yet
                 c._build_n()
                 c.band = band
             for _ in range(3 if g in graphs else 1):
@@ -340,6 +340,33 @@ class TestTieBand:
     def test_cycle_picks(self):
         for n, pick in ((10, (0, 5)), (64, (0, 32)), (301, (0, 150))):
             assert ResistanceState(cycle_graph(n)).best_candidate()[:2] == pick
+
+    def test_band_fixed_at_construction(self):
+        """kappa comes with the set-up's M: before any scan the band is
+        TIE_BAND eps ||A||_inf ||M||_inf of that M, ||A||_inf from the
+        degrees, for a one-block component and a packed one, and building
+        N leaves it as it is."""
+        g = _union(random.Random(73), [70, 200])
+        degrees = gr.degrees(g)
+        for c in ResistanceState(g).comps:
+            assert c._n2 is None and c.size in (70, 200)
+            norm_a = sp._shifted_norm(degrees[c.verts].max(), c.size)
+            band = TIE_BAND * np.finfo(float).eps * norm_a * _inf_norm(c.m)
+            assert c.band == band
+            c._build_n()
+            assert c.band == band
+
+    def test_inf_norm_once_per_component(self, monkeypatch):
+        """A GTR plan and a random plan each read ||M||_inf once per
+        component of two or more vertices: in the set-up's check, not
+        again when N is built."""
+        g = _union(random.Random(79), [1, 40, 150])
+        read, inf_norm = [], sp._inf_norm
+        monkeypatch.setattr(sp, "_inf_norm", lambda m: read.append(len(m)) or inf_norm(m))
+        for plan in (lambda: gtr(g, 4), lambda: random_baseline(g, 10, seed=3)):
+            read.clear()
+            assert len(plan().added) > 0
+            assert sorted(read) == [40, 150]
 
     def test_band_far_below_oracle_ties(self):
         rng = random.Random(67)
